@@ -30,6 +30,7 @@
 //! ```
 
 use crate::eventlog::{EventLog, QueueCounters, TransferCounters};
+use crate::policy::{PolicySpec, PolicyStack};
 use crate::sched::{
     Capabilities, Outcome, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent, SchedulerStats,
 };
@@ -244,6 +245,17 @@ impl Scheduler for Monitored {
 
     fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
         self.inner.place(ctx, config)
+    }
+
+    // The round-policy hooks are forwarded too: `Sim::try_run` installs
+    // a builder policy through `adopt_policy`, and the sharded driver
+    // clones the stack `round_policy` exposes for each shard.
+    fn round_policy(&mut self) -> Option<&mut PolicyStack> {
+        self.inner.round_policy()
+    }
+
+    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
+        self.inner.adopt_policy(spec)
     }
 
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {

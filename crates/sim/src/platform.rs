@@ -1492,9 +1492,14 @@ impl<'a> Simulation<'a> {
         });
 
         // The task's arena slot is its event id: a completed task's slot
-        // (and id) is recycled, which is safe because each id has exactly
-        // one `ExecReady` and one `TaskComplete` in flight and both are
-        // consumed before the slot is freed.
+        // (and id) is recycled. Without the data plane that is safe: each
+        // id has exactly one `ExecReady` and one `TaskComplete` in flight
+        // and both are consumed before the slot is freed. With the data
+        // plane on it is not: a re-planned flow leaves stale
+        // `TransferDue(id, gen)` events queued, and a new flow in the
+        // recycled slot restarts its generations at 1, so a stale event
+        // can match and complete the new flow early (a known defect; see
+        // ROADMAP item 3 and the ignored test in `dataplane.rs`).
         let id = self.tasks.insert(RunningTask {
             key,
             config,

@@ -49,7 +49,7 @@ use crate::event::EventQueueKind;
 use crate::eventlog::{EventKind, EventLog, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
-use crate::policy::ShedReason;
+use crate::policy::{PolicySpec, PolicyStack, ShedReason};
 use crate::sched::{
     Capabilities, Outcome, OverheadModel, QueueKey, RoundCtx, SchedCtx, Scheduler, SchedulerEvent,
     SchedulerStats,
@@ -249,6 +249,17 @@ impl Scheduler for Traced {
 
     fn place(&mut self, ctx: &SchedCtx<'_>, config: Config) -> Option<NodeId> {
         self.inner.place(ctx, config)
+    }
+
+    // The round-policy hooks are forwarded too: `Sim::try_run` installs
+    // a builder policy through `adopt_policy`, and the sharded driver
+    // clones the stack `round_policy` exposes for each shard.
+    fn round_policy(&mut self) -> Option<&mut PolicyStack> {
+        self.inner.round_policy()
+    }
+
+    fn adopt_policy(&mut self, spec: &PolicySpec) -> bool {
+        self.inner.adopt_policy(spec)
     }
 
     fn schedule_round(&mut self, ctx: &RoundCtx<'_>) -> Vec<(QueueKey, Outcome)> {

@@ -292,3 +292,48 @@ fn deferring_admission_variant_makes_progress() {
     assert_eq!(r.shed_invocations, 0);
     assert_eq!(r.total_completed(), 10, "deferred work still completes");
 }
+
+#[test]
+fn wrapped_schedulers_adopt_builder_policies() {
+    // `Traced` and `Monitored` forward `adopt_policy` and `round_policy`:
+    // a builder-selected packing policy on two shards is accepted through
+    // either wrapper, and each wrapped run dispatches exactly as the bare
+    // scheduler does (the platform's trace recorder fingerprints all
+    // three runs the same way).
+    let run = |sched: &mut dyn Scheduler, tag: &str| {
+        let path = std::env::temp_dir().join(format!(
+            "esg-wrapped-policy-{tag}-{}.json",
+            std::process::id()
+        ));
+        let sim = SimBuilder::new(SloClass::Moderate)
+            .seed(11)
+            .policy(PolicySpec::CrossQueuePacking(PackingConfig::default()))
+            .shards(2)
+            .record_trace(&path)
+            .build()
+            .expect("valid configuration");
+        let workload = WorkloadGen::new(WorkloadClass::Normal, esg::model::standard_app_ids(), 11)
+            .generate(150);
+        let r = sim
+            .try_run(sched, &workload, "wrapped-policy")
+            .expect("the wrapped scheduler adopts the packing policy");
+        let digest = TraceFile::load(&path)
+            .expect("recorded trace loads")
+            .dispatch_digest();
+        std::fs::remove_file(&path).ok();
+        (canonical(r), digest)
+    };
+    let bare = run(&mut EsgScheduler::new(), "bare");
+    let mut traced = Traced::new(Box::new(EsgScheduler::new()));
+    assert_eq!(run(&mut traced, "traced"), bare);
+    assert_eq!(traced.trace_digest(), bare.1);
+    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 500.0, 2);
+    assert_eq!(run(&mut monitored, "monitored"), bare);
+    assert!(!monitored.monitor.snapshots().is_empty());
+    // The adopted stack is what each wrapper exposes to the sharded
+    // driver, which clones it per shard.
+    for sched in [&mut traced as &mut dyn Scheduler, &mut monitored] {
+        let stack = sched.round_policy().expect("the wrapper exposes the stack");
+        assert!(!stack.is_classic(), "the packing stack was adopted");
+    }
+}
