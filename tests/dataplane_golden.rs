@@ -7,8 +7,11 @@
 //! suite does: for every cell it stores an FNV fingerprint of the
 //! dispatch trace and of the canonical `ExperimentResult` (wall-clock
 //! overhead cleared; the `TransferSummary` with its replan, queueing and
-//! cross-server counters is part of the dump), plus the plane's headline
-//! counters in clear text so a divergence reads at a glance.
+//! cross-server counters is part of the dump), a second fingerprint of
+//! that result with the plan-cache counters zeroed (`masked=`: the
+//! simulated outcome alone, independent of the memo's eviction policy),
+//! plus the plane's headline counters in clear text so a divergence
+//! reads at a glance.
 //!
 //! Cells, each on both event-queue backends:
 //! * `tor-steady` / `tor-bursty` — the paper cluster behind 4-GPU
@@ -22,7 +25,11 @@
 //! Provenance: `tests/golden/dataplane_contended.digest` was blessed on
 //! the `BTreeMap`-scan data plane (every membership change walked every
 //! live flow), before the per-pool member index replaced that scan. The
-//! index must reproduce it bit for bit. Regenerate with `ESG_BLESS=1
+//! index must reproduce it bit for bit. The `masked=` column was added
+//! later on the same code, with every other column byte-identical, so
+//! that a change to the plan memo's eviction policy can re-bless
+//! `result=` while proving the simulated outcome unchanged. Regenerate
+//! with `ESG_BLESS=1
 //! cargo test --test dataplane_golden` — only from a commit whose
 //! data-plane behaviour is the agreed baseline, noting the provenance
 //! here.
@@ -110,6 +117,21 @@ fn canonical(mut r: ExperimentResult) -> String {
     format!("{r:?}")
 }
 
+/// The canonical result with the plan-cache bookkeeping zeroed: the
+/// search count and the memo's hit, miss and eviction counters depend
+/// on the memo's eviction policy, which is host-side bookkeeping that
+/// must never change what the platform simulates. This digest pins the
+/// simulated outcome alone, so a memo change re-blesses `result=` but
+/// must leave `masked=` byte-identical.
+fn canonical_masked(mut r: ExperimentResult) -> String {
+    let s = &mut r.scheduler_stats;
+    s.searches = 0;
+    s.plan_cache_hits = 0;
+    s.plan_cache_misses = 0;
+    s.plan_cache_evictions = 0;
+    canonical(r)
+}
+
 fn run_cell(cell: &Cell, queue: EventQueueKind) -> String {
     let env = SimEnv::standard(SloClass::Moderate);
     let workload = shaped_workload(
@@ -132,11 +154,12 @@ fn run_cell(cell: &Cell, queue: EventQueueKind) -> String {
     let r = run_simulation(&env, cfg, &mut sched, &workload, "dataplane-golden");
     let t = &r.transfers;
     format!(
-        "{}|{queue:?}|trace={:016x}|result={:016x}|completed={}|transfers={}|\
-replans={}|queued={}|cross_server_mb={}",
+        "{}|{queue:?}|trace={:016x}|result={:016x}|masked={:016x}|completed={}|\
+transfers={}|replans={}|queued={}|cross_server_mb={}",
         cell.name,
         fnv64(&sched.trace()),
         fnv64(&canonical(r.clone())),
+        fnv64(&canonical_masked(r.clone())),
         r.total_completed(),
         t.completed,
         t.replans,
