@@ -182,8 +182,9 @@ fn main() {
                     slo: slo_name,
                 });
 
-                // Warm: the hit path — key fingerprint plus an LRU lookup
-                // returning the memoised K-path result.
+                // Warm: the hit path — key fingerprint plus a memo lookup
+                // (and priority refresh) returning the memoised K-path
+                // result.
                 let key = PlanKey {
                     dag_fp: 0x5eed,
                     window_fp: PlanKey::window_fingerprint(&fns, cap),

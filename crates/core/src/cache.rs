@@ -19,18 +19,20 @@
 //! bit-identical because both quantize (`tests/plan_cache_equivalence.rs`
 //! pins this across a churn-heavy sweep).
 //!
-//! The cache is LRU-bounded, counts hits/misses/evictions (surfaced as
-//! `esg_sim::SchedulerStats` through `ExperimentResult`), and is
-//! invalidated wholesale on cluster-churn notifications. Because keys
-//! capture every search input (the node-class speed factor included),
-//! invalidation is a memory/robustness bound rather than a correctness
-//! requirement: a regime change re-populates the cache with the keys the
-//! new cluster actually produces instead of letting a dead regime's
-//! entries squat in the LRU.
+//! The cache is bounded by cost-aware GreedyDual eviction (the victim
+//! is the entry that would be cheapest to recompute, aged so entries
+//! that stop being used eventually go), counts hits/misses/evictions
+//! (surfaced as `esg_sim::SchedulerStats` through `ExperimentResult`),
+//! and is invalidated wholesale on cluster-churn notifications. Because
+//! keys capture every search input (the node-class speed factor
+//! included), invalidation is a memory/robustness bound rather than a
+//! correctness requirement: a regime change re-populates the cache with
+//! the keys the new cluster actually produces instead of letting a dead
+//! regime's entries squat in the bound.
 
 use crate::search::SearchResult;
 use esg_model::FnId;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// Explicit mantissa bits kept by [`quantize_gslo`]: buckets are ~0.8%
 /// wide (2^-7), tight enough that the tightened budget is within profile
@@ -114,7 +116,7 @@ pub struct CacheStats {
     pub misses: u64,
     /// Entries written.
     pub insertions: u64,
-    /// Entries dropped by the LRU bound.
+    /// Entries dropped by the capacity bound.
     pub evictions: u64,
     /// Wholesale invalidations (churn notifications).
     pub invalidations: u64,
@@ -122,16 +124,34 @@ pub struct CacheStats {
 
 struct Slot {
     plan: CachedPlan,
-    last_used: u64,
+    /// GreedyDual priority: the inflation at the last touch plus the
+    /// search's expansions.
+    priority: u64,
+    /// Tick of the last touch; breaks priority ties (oldest goes first).
+    tick: u64,
 }
 
-/// A bounded LRU memo of [`CachedPlan`]s keyed by [`PlanKey`].
+/// A bounded memo of [`CachedPlan`]s keyed by [`PlanKey`], evicting by
+/// GreedyDual.
 ///
-/// Recency is tracked with a monotone tick (unique per operation), so the
-/// eviction victim is deterministic regardless of `HashMap` iteration
-/// order — sweep determinism depends on this.
+/// Each entry's priority is `inflation + expansions`, set on insert and
+/// refreshed on every hit. When the bound is reached the lowest-priority
+/// entry goes and its priority becomes the new `inflation`, so entries
+/// that are expensive to re-search outlive cheap ones, and idle entries
+/// still age out as fresh touches overtake them. With equal costs this
+/// is exactly LRU.
+///
+/// Ties break on a monotone tick (unique per operation), so the victim is
+/// deterministic regardless of `HashMap` iteration order — sweep
+/// determinism depends on this. An ordered `(priority, tick)` index makes
+/// finding the victim O(log n).
 pub struct PlanCache {
     map: HashMap<PlanKey, Slot>,
+    /// `(priority, tick) → key` for every entry of `map`, lowest first.
+    order: BTreeMap<(u64, u64), PlanKey>,
+    /// Priority of the last victim: the floor every new priority starts
+    /// from.
+    inflation: u64,
     capacity: usize,
     tick: u64,
     stats: CacheStats,
@@ -147,6 +167,8 @@ impl PlanCache {
     pub fn with_capacity(capacity: usize) -> PlanCache {
         PlanCache {
             map: HashMap::new(),
+            order: BTreeMap::new(),
+            inflation: 0,
             capacity: capacity.max(1),
             tick: 0,
             stats: CacheStats::default(),
@@ -158,55 +180,66 @@ impl PlanCache {
         PlanCache::with_capacity(Self::DEFAULT_CAPACITY)
     }
 
-    /// Looks up `key`, refreshing its recency on a hit. Counts a miss on
+    /// Looks up `key`, refreshing its priority on a hit. Counts a miss on
     /// `None` (the caller is expected to search and [`insert`](Self::insert)).
     pub fn get(&mut self, key: &PlanKey) -> Option<CachedPlan> {
         self.tick += 1;
-        match self.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = self.tick;
-                self.stats.hits += 1;
-                Some(slot.plan.clone())
-            }
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-        }
+        let Some(slot) = self.map.get_mut(key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        self.order.remove(&(slot.priority, slot.tick));
+        slot.priority = self.inflation + slot.plan.result.expansions;
+        slot.tick = self.tick;
+        self.order.insert((slot.priority, slot.tick), *key);
+        self.stats.hits += 1;
+        let plan = slot.plan.clone();
+        self.check_indices();
+        Some(plan)
     }
 
-    /// Memoises `plan` under `key`, evicting the least-recently-used
-    /// entry when the bound is reached.
+    /// Memoises `plan` under `key`, evicting the lowest-priority entry
+    /// when the bound is reached. Re-inserting a held key overwrites it
+    /// in place and never evicts.
     pub fn insert(&mut self, key: PlanKey, plan: CachedPlan) {
         self.tick += 1;
-        if !self.map.contains_key(&key) && self.map.len() >= self.capacity {
-            // Unique ticks make the minimum unique, so HashMap iteration
-            // order cannot influence which entry goes.
-            if let Some(victim) = self
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| *k)
-            {
+        if let Some(old) = self.map.get(&key) {
+            self.order.remove(&(old.priority, old.tick));
+        } else if self.map.len() >= self.capacity {
+            if let Some(((priority, _), victim)) = self.order.pop_first() {
                 self.map.remove(&victim);
+                self.inflation = priority;
                 self.stats.evictions += 1;
             }
         }
         self.stats.insertions += 1;
-        self.map.insert(
-            key,
-            Slot {
-                plan,
-                last_used: self.tick,
-            },
-        );
+        let slot = Slot {
+            priority: self.inflation + plan.result.expansions,
+            tick: self.tick,
+            plan,
+        };
+        self.order.insert((slot.priority, slot.tick), key);
+        self.map.insert(key, slot);
+        self.check_indices();
     }
 
     /// Drops every entry (cluster-membership churn: the speed landscape
     /// that shaped recent keys is gone, so let the new regime repopulate).
     pub fn invalidate(&mut self) {
         self.map.clear();
+        self.order.clear();
+        self.inflation = 0;
         self.stats.invalidations += 1;
+        self.check_indices();
+    }
+
+    /// Every entry is indexed exactly once in the eviction order.
+    fn check_indices(&self) {
+        debug_assert_eq!(
+            self.map.len(),
+            self.order.len(),
+            "memo and order index diverged"
+        );
     }
 
     /// Entries currently held.
@@ -265,6 +298,11 @@ mod tests {
     }
 
     fn plan(cost: f64) -> CachedPlan {
+        plan_with(cost, 10)
+    }
+
+    /// A plan whose search took `expansions` (its re-search cost).
+    fn plan_with(cost: f64, expansions: u64) -> CachedPlan {
         CachedPlan {
             result: SearchResult {
                 paths: vec![PathCandidate {
@@ -272,7 +310,7 @@ mod tests {
                     time_ms: 1.0,
                     cost_cents: cost,
                 }],
-                expansions: 10,
+                expansions,
                 feasible: true,
             },
             min_total_ms: 1.0,
@@ -350,6 +388,81 @@ mod tests {
             c.get(&key(2)).expect("hit").result.paths[0].cost_cents,
             20.0
         );
+    }
+
+    #[test]
+    fn reinserting_existing_key_never_evicts_at_any_cost() {
+        let mut c = PlanCache::with_capacity(3);
+        for i in 1..=3 {
+            c.insert(key(i), plan_with(i as f64, 5));
+        }
+        // Overwrites with cheaper and dearer re-search costs, repeatedly.
+        for round in 0..10 {
+            c.insert(key(1 + round % 3), plan_with(0.0, 1 + round * 100));
+            assert_eq!(c.len(), 3);
+            assert_eq!(c.order.len(), 3);
+        }
+        assert_eq!(c.stats().evictions, 0);
+        for i in 1..=3 {
+            assert!(c.get(&key(i)).is_some(), "key {i} must survive overwrites");
+        }
+    }
+
+    #[test]
+    fn equal_priorities_evict_by_tick() {
+        // Equal re-search costs: the oldest touch goes first, every time.
+        let mut c = PlanCache::with_capacity(3);
+        for i in 1..=3 {
+            c.insert(key(i), plan(i as f64));
+        }
+        assert!(c.get(&key(1)).is_some()); // 1 is now the newest touch
+        c.insert(key(4), plan(4.0)); // evicts 2
+        c.insert(key(5), plan(5.0)); // evicts 3
+        assert_eq!(c.stats().evictions, 2);
+        assert!(c.map.contains_key(&key(1)));
+        assert!(!c.map.contains_key(&key(2)));
+        assert!(!c.map.contains_key(&key(3)));
+        assert!(c.map.contains_key(&key(4)));
+        assert!(c.map.contains_key(&key(5)));
+    }
+
+    #[test]
+    fn expensive_entry_outlives_cheap_one_off_inserts() {
+        // An LRU of 4 would drop the expensive plan on the 4th cheap
+        // insert; cost-aware eviction keeps it through a long stream of
+        // one-off cheap searches.
+        let mut c = PlanCache::with_capacity(4);
+        c.insert(key(0), plan_with(0.0, 1_000));
+        for i in 1..=60 {
+            c.insert(key(i), plan_with(i as f64, 10));
+        }
+        assert_eq!(c.stats().evictions, 57);
+        assert!(c.get(&key(0)).is_some(), "expensive plan must survive");
+        // Aging still applies: once inflation passes its priority, the
+        // idle expensive entry goes like any other.
+        for i in 61..=1_000 {
+            c.insert(key(i), plan_with(i as f64, 10));
+        }
+        assert!(c.get(&key(0)).is_none(), "idle entries must age out");
+        assert_eq!(c.len(), 4);
+    }
+
+    #[test]
+    fn invalidate_clears_both_indices() {
+        let mut c = PlanCache::with_capacity(2);
+        c.insert(key(1), plan_with(1.0, 50));
+        c.insert(key(2), plan_with(2.0, 5));
+        c.insert(key(3), plan_with(3.0, 5)); // evicts 2, inflation 5
+        assert!(c.inflation > 0);
+        c.invalidate();
+        assert!(c.map.is_empty());
+        assert!(c.order.is_empty());
+        assert_eq!(c.inflation, 0);
+        // A fresh population fills to capacity without evicting.
+        c.insert(key(4), plan(4.0));
+        c.insert(key(5), plan(5.0));
+        assert_eq!((c.map.len(), c.order.len()), (2, 2));
+        assert_eq!(c.stats().evictions, 1);
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!   paths;
 //! * [`cache`] — the [`PlanCache`]: memoised search results keyed on the
 //!   reduced-DAG fingerprint, the quantized effective GSLO, and the
-//!   node-class speed factor, LRU-bounded and churn-invalidated;
+//!   node-class speed factor, bounded by cost-aware (GreedyDual)
+//!   eviction and churn-invalidated;
 //! * [`brute`] — exhaustive search, the §5.3 baseline and the oracle for
 //!   optimality tests;
 //! * [`plan`] — per-application dominator-based SLO distribution

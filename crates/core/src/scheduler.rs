@@ -210,6 +210,24 @@ impl Scheduler for EsgScheduler {
         if ctx.jobs.is_empty() {
             return Outcome::skip();
         }
+        let qlen = ctx.jobs.len() as u32;
+        let key = (ctx.key.app.0, ctx.key.stage);
+
+        // Cheap path while holding this queue for batch formation. It
+        // reads only the queue length and the clock, so it runs before
+        // any planning or placement probe.
+        if let Some(&(until, target)) = self.waiting.get(&key) {
+            if qlen < target && ctx.now_ms < until {
+                return Outcome {
+                    candidates: Vec::new(),
+                    expansions: 16, // timer re-check, not a search
+                    planned_batch: None,
+                    ..Outcome::default()
+                };
+            }
+            self.waiting.remove(&key);
+        }
+
         let group_size = self.group_size;
         let plans = self
             .plans
@@ -275,22 +293,6 @@ impl Scheduler for EsgScheduler {
         };
         let mut speed = speed_at(Config::MIN.resources());
         let mut gslo_eff = gslo / (p95 * speed);
-
-        let qlen = ctx.jobs.len() as u32;
-        let key = (ctx.key.app.0, ctx.key.stage);
-
-        // Cheap path while holding this queue for batch formation.
-        if let Some(&(until, target)) = self.waiting.get(&key) {
-            if qlen < target && ctx.now_ms < until {
-                return Outcome {
-                    candidates: Vec::new(),
-                    expansions: 16, // timer re-check, not a search
-                    planned_batch: None,
-                    ..Outcome::default()
-                };
-            }
-            self.waiting.remove(&key);
-        }
 
         // First search without a batch cap: ESG_1Q explores the full
         // (batch, vCPUs, vGPUs) space (§3.1 — "ESG_1Q does not consider
@@ -467,8 +469,8 @@ impl Scheduler for EsgScheduler {
             // Membership changed: recent keys were shaped by a speed
             // landscape that no longer exists. Entries are never *wrong*
             // (keys capture every search input), but letting a dead
-            // regime squat in the LRU wastes the bound, so drop
-            // everything and repopulate.
+            // regime's costly plans squat in the memo wastes the bound,
+            // so drop everything and repopulate.
             SchedulerEvent::Churn { .. } => {
                 if let Some(cache) = &mut self.cache {
                     cache.invalidate();

@@ -798,7 +798,8 @@ impl<'a> Simulation<'a> {
     /// Re-syncs the scheduler-facing state with the cluster (cheap no-op
     /// when nothing changed). Under `validate_cluster_state`, also
     /// asserts equivalence with a from-scratch snapshot — the
-    /// pre-redesign per-decision rebuild.
+    /// pre-redesign per-decision rebuild — including its `may_fit`
+    /// bound.
     fn refresh_state(&mut self) {
         self.state.refresh(&self.cluster, self.now);
         if self.cfg.validate_cluster_state {
@@ -807,6 +808,12 @@ impl<'a> Simulation<'a> {
                 fresh.nodes(),
                 self.state.nodes(),
                 "incremental ClusterState diverged from the snapshot rebuild at t={} ms",
+                self.now.as_ms()
+            );
+            assert_eq!(
+                fresh.max_free(),
+                self.state.max_free(),
+                "incremental may_fit bound diverged from a from-scratch recomputation at t={} ms",
                 self.now.as_ms()
             );
         }

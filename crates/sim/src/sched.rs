@@ -419,7 +419,7 @@ pub struct SchedulerStats {
     pub plan_cache_hits: u64,
     /// Plan-cache lookups that fell through to a real search.
     pub plan_cache_misses: u64,
-    /// Plan-cache entries dropped by the LRU bound.
+    /// Plan-cache entries dropped by the cost-aware (GreedyDual) bound.
     pub plan_cache_evictions: u64,
     /// Wholesale plan-cache invalidations (churn notifications).
     pub plan_cache_invalidations: u64,
@@ -702,11 +702,16 @@ pub fn home_node(key: QueueKey, num_nodes: usize) -> NodeId {
 /// Shared placement policy: locality first (§3.4). Tries, in order, the
 /// preferred (predecessor) node, the home invoker, any warm invoker with
 /// capacity, and finally the cold invoker with the most free resources.
+/// A demand no online node can host is rejected in O(1) by
+/// [`ClusterState::may_fit`] before any node is looked at.
 pub fn place_locality_first(
     ctx: &SchedCtx<'_>,
     demand: Resources,
     preferred: Option<NodeId>,
 ) -> Option<NodeId> {
+    if !ctx.cluster.may_fit(demand) {
+        return None;
+    }
     let home = home_node(ctx.key, ctx.cluster.len());
     if let Some(p) = preferred {
         if ctx.cluster.node(p).fits(demand) {

@@ -28,7 +28,11 @@
 //!   [`speed_of`](ClusterState::speed_of);
 //! * every observable change bumps a [`generation`](ClusterState::generation)
 //!   stamp, so caching schedulers can cheaply detect "the cluster moved
-//!   under me" between rounds.
+//!   under me" between rounds;
+//! * a component-wise maximum of free resources over online nodes,
+//!   recomputed wherever views are synced, answers
+//!   [`may_fit`](ClusterState::may_fit) in O(1), so the placement helpers
+//!   reject a demand that fits nowhere without walking the node array.
 //!
 //! Equivalence with the old contract is pinned two ways: the
 //! `validate_cluster_state` oracle (the platform rebuilds a from-scratch
@@ -90,6 +94,16 @@ impl NodeView {
     }
 }
 
+/// `max` widened component-wise by `n`'s free resources when `n` is
+/// online (the fold behind [`ClusterState::may_fit`]).
+fn widen(max: Resources, n: &NodeView) -> Resources {
+    if n.online {
+        Resources::new(max.vcpus.max(n.free.vcpus), max.vgpus.max(n.free.vgpus))
+    } else {
+        max
+    }
+}
+
 /// The incrementally maintained cluster state schedulers decide against.
 #[derive(Clone, Debug, Default)]
 pub struct ClusterState {
@@ -111,6 +125,13 @@ pub struct ClusterState {
     /// scale bench's hot loop surfaces.
     earliest_passive: SimTime,
     generation: u64,
+    /// Component-wise maximum of `free` over online nodes, exact while
+    /// `max_free_stale` is false.
+    max_free: Resources,
+    /// Set by hand mutations ([`node_mut`](Self::node_mut),
+    /// [`try_commit`](Self::try_commit)) until the next full sync; a
+    /// stale bound answers "may fit" to everything.
+    max_free_stale: bool,
 }
 
 impl ClusterState {
@@ -121,14 +142,18 @@ impl ClusterState {
             n.warm.sort_unstable();
         }
         let len = nodes.len();
-        ClusterState {
+        let mut state = ClusterState {
             nodes,
             dirty: vec![false; len],
             warm_next_change: vec![SimTime(u64::MAX); len],
             any_dirty: false,
             earliest_passive: SimTime(u64::MAX),
             generation: 0,
-        }
+            max_free: Resources::ZERO,
+            max_free_stale: false,
+        };
+        state.recompute_max_free();
+        state
     }
 
     /// A from-scratch snapshot of `cluster` at `now` — the pre-redesign
@@ -147,6 +172,7 @@ impl ClusterState {
         for i in 0..state.nodes.len() {
             state.sync_node(i, &cluster.nodes()[i], now);
         }
+        state.recompute_max_free();
         state
     }
 
@@ -163,10 +189,12 @@ impl ClusterState {
     }
 
     /// Mutable access for hand-built states (tests tweaking free
-    /// resources, speeds, warmth). Bumps the generation; hand mutations
-    /// do not participate in incremental dirtiness tracking.
+    /// resources, speeds, warmth). Bumps the generation and marks the
+    /// [`may_fit`](Self::may_fit) bound stale; hand mutations do not
+    /// participate in incremental dirtiness tracking.
     pub fn node_mut(&mut self, id: NodeId) -> &mut NodeView {
         self.generation += 1;
+        self.max_free_stale = true;
         &mut self.nodes[id.index()]
     }
 
@@ -209,6 +237,7 @@ impl ClusterState {
         self.warm_next_change.push(SimTime(u64::MAX));
         let i = self.nodes.len() - 1;
         self.sync_node(i, node, now);
+        self.recompute_max_free();
     }
 
     /// Re-syncs every node that is dirty or whose warm set can have
@@ -223,6 +252,7 @@ impl ClusterState {
             return;
         }
         let mut earliest = SimTime(u64::MAX);
+        let mut max_free = Resources::ZERO;
         for i in 0..self.nodes.len() {
             if self.dirty[i] || now >= self.warm_next_change[i] {
                 self.sync_node(i, &cluster.nodes()[i], now);
@@ -230,9 +260,41 @@ impl ClusterState {
             if self.warm_next_change[i] < earliest {
                 earliest = self.warm_next_change[i];
             }
+            max_free = widen(max_free, &self.nodes[i]);
         }
         self.any_dirty = false;
         self.earliest_passive = earliest;
+        self.max_free = max_free;
+        self.max_free_stale = false;
+    }
+
+    /// Recomputes the [`may_fit`](Self::may_fit) bound from every view.
+    fn recompute_max_free(&mut self) {
+        self.max_free = self.nodes.iter().fold(Resources::ZERO, widen);
+        self.max_free_stale = false;
+    }
+
+    /// The component-wise maximum of free resources over online nodes,
+    /// or `None` while hand mutations have left it stale.
+    pub fn max_free(&self) -> Option<Resources> {
+        (!self.max_free_stale).then_some(self.max_free)
+    }
+
+    /// False only when no online node can host `demand`: `demand` asks
+    /// for more vCPUs, or more vGPUs, than any online node has free.
+    ///
+    /// Conservative: `true` does not promise a fit (the largest free
+    /// vCPU and vGPU counts may sit on different nodes), and after a
+    /// hand mutation ([`node_mut`](Self::node_mut),
+    /// [`try_commit`](Self::try_commit)) the bound is stale and answers
+    /// `true` until the next [`refresh`](Self::refresh) that syncs,
+    /// [`note_join`](Self::note_join) or rebuild. So `!may_fit(d)`
+    /// always implies [`feasible(d)`](Self::feasible) is empty, and the
+    /// placement helpers use it to skip their node walks exactly when
+    /// the walk would find nothing.
+    #[inline]
+    pub fn may_fit(&self, demand: Resources) -> bool {
+        self.max_free_stale || self.max_free.contains(demand)
     }
 
     fn sync_node(&mut self, i: usize, n: &Node, now: SimTime) {
@@ -282,6 +344,7 @@ impl ClusterState {
         }
         v.free -= demand;
         self.generation += 1;
+        self.max_free_stale = true;
         true
     }
 
@@ -294,6 +357,9 @@ impl ClusterState {
     /// cold placement and the forced-minimum fallback. Deterministic
     /// tie-break on node id.
     pub fn most_free(&self, demand: Resources) -> Option<NodeId> {
+        if !self.may_fit(demand) {
+            return None;
+        }
         self.feasible(demand)
             .max_by(|a, b| {
                 a.free
@@ -314,6 +380,9 @@ impl ClusterState {
     /// most free weighted resources, then node id. Speed-aware schedulers
     /// use this to bound how fast the cluster can run `demand` right now.
     pub fn fastest_fit(&self, demand: Resources) -> Option<NodeId> {
+        if !self.may_fit(demand) {
+            return None;
+        }
         self.feasible(demand)
             .min_by(|a, b| {
                 a.speed
@@ -540,5 +609,154 @@ mod tests {
         let g1 = state.generation();
         state.refresh(&cluster, SimTime::from_ms(2.0));
         assert!(state.generation() > g1, "re-sync stamps the state");
+    }
+}
+
+#[cfg(test)]
+mod may_fit_props {
+    use super::*;
+    use crate::platform::SimEnv;
+    use crate::sched::{place_locality_first, QueueKey, SchedCtx};
+    use esg_model::{AppId, NodeClass, SloClass};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    fn random_demand(rng: &mut StdRng) -> Resources {
+        Resources::new(rng.random_range(0..=40), rng.random_range(0..=10))
+    }
+
+    /// The same views with the bound stale: every helper then runs its
+    /// full, unfiltered node walk — the reference the filtered answers
+    /// must equal.
+    fn unfiltered(state: &ClusterState) -> ClusterState {
+        let mut r = state.clone();
+        r.node_mut(NodeId(0));
+        assert!(r.max_free().is_none());
+        r
+    }
+
+    /// Checks every bound invariant for `demand` against `state`.
+    fn check(env: &SimEnv, state: &ClusterState, demand: Resources, rng: &mut StdRng) {
+        if let Some(bound) = state.max_free() {
+            let fresh = state.nodes().iter().fold(Resources::ZERO, widen);
+            assert_eq!(bound, fresh, "a fresh bound must be exact");
+        }
+        if !state.may_fit(demand) {
+            assert_eq!(state.feasible(demand).count(), 0, "{demand} fits somewhere");
+        }
+        let reference = unfiltered(state);
+        assert_eq!(state.most_free(demand), reference.most_free(demand));
+        assert_eq!(state.fastest_fit(demand), reference.fastest_fit(demand));
+
+        let app = rng.random_range(0..env.apps.len());
+        let stage = rng.random_range(0..env.apps[app].nodes.len());
+        let preferred = rng
+            .random_bool(0.5)
+            .then(|| NodeId(rng.random_range(0..state.len() as u32)));
+        let ctx = |cluster| SchedCtx {
+            now_ms: 0.0,
+            key: QueueKey {
+                app: AppId(app as u32),
+                stage,
+            },
+            jobs: &[],
+            function: env.apps[app].nodes[stage],
+            slo_ms: 0.0,
+            base_latency_ms: 0.0,
+            queue_interval_ms: None,
+            cluster,
+            profiles: &env.profiles,
+            apps: &env.apps,
+            catalog: &env.catalog,
+            price: &env.price,
+            transfer: &env.transfer,
+            noise: &env.noise,
+        };
+        assert_eq!(
+            place_locality_first(&ctx(state), demand, preferred),
+            place_locality_first(&ctx(&reference), demand, preferred),
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// Random states built from platform-style syncs (commits,
+        /// releases, drains, joins, refreshes) interleaved with hand
+        /// edits and optimistic commits: the bound never rejects a
+        /// demand that fits, and the filtered helpers answer exactly as
+        /// the unfiltered walks do.
+        #[test]
+        fn no_fit_bound_is_conservative_and_exact(
+            seed in 0u64..1_000_000,
+            nodes in 1usize..6,
+        ) {
+            let env = SimEnv::standard(SloClass::Moderate);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut cluster = Cluster::new(nodes, Resources::new(16, 7));
+            let mut now = SimTime::ZERO;
+            let mut state = ClusterState::from_cluster(&cluster, now);
+            // Outstanding cluster-side commitments per node.
+            let mut commits: Vec<Vec<Resources>> = vec![Vec::new(); nodes];
+            for _ in 0..120 {
+                let i = rng.random_range(0..state.len());
+                let id = NodeId(i as u32);
+                match rng.random_range(0..8) {
+                    0 | 1 => {
+                        let d = random_demand(&mut rng);
+                        if cluster.node_mut(id).commit(d) {
+                            commits[i].push(d);
+                            state.touch(id);
+                        }
+                    }
+                    2 => {
+                        if let Some(d) = commits[i].pop() {
+                            cluster.node_mut(id).uncommit(d);
+                            state.touch(id);
+                        }
+                    }
+                    3 => {
+                        if rng.random_bool(0.3) {
+                            cluster.node_mut(id).drain(now);
+                            state.touch(id);
+                        } else {
+                            let class = if rng.random_bool(0.5) {
+                                NodeClass::t4()
+                            } else {
+                                NodeClass::a100()
+                            };
+                            let joined = cluster.join(class, now);
+                            state.note_join(cluster.node(joined), now);
+                            commits.push(Vec::new());
+                        }
+                    }
+                    4 | 5 => {
+                        now += SimTime::from_ms(rng.random_range(0.0..50.0));
+                        state.refresh(&cluster, now);
+                    }
+                    6 => {
+                        let free = random_demand(&mut rng);
+                        let online = rng.random_bool(0.8);
+                        let warm = FnId(rng.random_range(0..12));
+                        let v = state.node_mut(id);
+                        v.free = free;
+                        v.online = online;
+                        v.warm = vec![warm];
+                    }
+                    _ => {
+                        let d = random_demand(&mut rng);
+                        state.try_commit(id, d);
+                    }
+                }
+                let probe = random_demand(&mut rng);
+                check(&env, &state, probe, &mut rng);
+                if let Some(b) = state.max_free() {
+                    // Right at, and one unit past, the bound.
+                    check(&env, &state, b, &mut rng);
+                    check(&env, &state, b + Resources::new(1, 0), &mut rng);
+                    check(&env, &state, b + Resources::new(0, 1), &mut rng);
+                }
+            }
+        }
     }
 }

@@ -26,13 +26,14 @@
 //! the `BTreeMap`-scan data plane (every membership change walked every
 //! live flow), before the per-pool member index replaced that scan. The
 //! index must reproduce it bit for bit. The `masked=` column was added
-//! later on the same code, with every other column byte-identical, so
-//! that a change to the plan memo's eviction policy can re-bless
-//! `result=` while proving the simulated outcome unchanged. Regenerate
-//! with `ESG_BLESS=1
-//! cargo test --test dataplane_golden` — only from a commit whose
-//! data-plane behaviour is the agreed baseline, noting the provenance
-//! here.
+//! later on the same code, with every other column byte-identical. When
+//! the plan memo moved from LRU to cost-aware (GreedyDual) eviction, only
+//! `result=` was re-blessed on the ToR cells whose memo evicts: the
+//! eviction counters and search count it hashes moved, while `trace=`,
+//! `masked=` and the clear-text counters stayed byte-identical.
+//! Regenerate with `ESG_BLESS=1 cargo test --test dataplane_golden` —
+//! only from a commit whose data-plane behaviour is the agreed baseline,
+//! noting the provenance here.
 
 mod support;
 
