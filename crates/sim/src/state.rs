@@ -252,7 +252,6 @@ impl ClusterState {
             return;
         }
         let mut earliest = SimTime(u64::MAX);
-        let mut max_free = Resources::ZERO;
         for i in 0..self.nodes.len() {
             if self.dirty[i] || now >= self.warm_next_change[i] {
                 self.sync_node(i, &cluster.nodes()[i], now);
@@ -260,12 +259,10 @@ impl ClusterState {
             if self.warm_next_change[i] < earliest {
                 earliest = self.warm_next_change[i];
             }
-            max_free = widen(max_free, &self.nodes[i]);
         }
         self.any_dirty = false;
         self.earliest_passive = earliest;
-        self.max_free = max_free;
-        self.max_free_stale = false;
+        self.recompute_max_free();
     }
 
     /// Recomputes the [`may_fit`](Self::may_fit) bound from every view.
