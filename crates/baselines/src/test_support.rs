@@ -12,7 +12,8 @@ pub fn idle_cluster(n: usize) -> ClusterState {
     )
 }
 
-/// Jobs with the given slacks, all ready and arriving slightly in the past.
+/// Jobs with the given slacks at t = 0 (`deadline_ms` = slack), all ready
+/// and arriving slightly in the past.
 pub fn jobs_with_slack(slacks: &[f64]) -> Vec<JobView> {
     slacks
         .iter()
@@ -21,7 +22,7 @@ pub fn jobs_with_slack(slacks: &[f64]) -> Vec<JobView> {
             invocation: InvocationId(i as u64),
             ready_at_ms: 10.0 + i as f64,
             invocation_arrival_ms: 5.0,
-            slack_ms: s,
+            deadline_ms: s,
             pred_node: None,
         })
         .collect()

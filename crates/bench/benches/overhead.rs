@@ -321,7 +321,7 @@ capacity-stable across 10k dispatch-shaped refreshes"
                 invocation: InvocationId(i),
                 ready_at_ms: 5.0,
                 invocation_arrival_ms: 0.0,
-                slack_ms: 500.0,
+                deadline_ms: 510.0, // 500 ms of slack at now_ms = 10
                 pred_node: None,
             })
             .collect();

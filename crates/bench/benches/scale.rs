@@ -241,7 +241,7 @@ impl ScaleDriver {
             invocation: InvocationId(0),
             ready_at_ms: 5.0,
             invocation_arrival_ms: 0.0,
-            slack_ms: 500.0,
+            deadline_ms: 510.0, // 500 ms of slack at now_ms = 10
             pred_node: None,
         }];
         ScaleDriver {

@@ -543,12 +543,13 @@ mod tests {
         )
     }
 
+    /// A job with `slack` ms left at the test context's t = 10 ms.
     fn job(slack: f64) -> esg_sim::JobView {
         esg_sim::JobView {
             invocation: esg_model::InvocationId(0),
             ready_at_ms: 0.0,
             invocation_arrival_ms: 0.0,
-            slack_ms: slack,
+            deadline_ms: 10.0 + slack,
             pred_node: None,
         }
     }

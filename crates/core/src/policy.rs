@@ -87,7 +87,7 @@ impl EsgCrossQueuePacking {
         let slack = q
             .jobs
             .iter()
-            .map(|j| j.slack_ms)
+            .map(|j| j.slack_ms(ctx.now_ms))
             .fold(f64::INFINITY, f64::min);
         let tightness = slack / q.slo_ms.max(f64::MIN_POSITIVE);
         let warm = q.jobs.iter().filter_map(|j| j.pred_node).any(|n| {
@@ -281,12 +281,14 @@ mod tests {
     use esg_model::{AppId, InvocationId, NodeId, Resources, SloClass};
     use esg_sim::{AdmissionDecision, ClusterState, JobView, NodeView, QueueView, SimEnv};
 
+    /// A job with `slack` ms left at t = 100 ms, the tests' usual round
+    /// time.
     fn job(slack: f64, pred: Option<NodeId>) -> JobView {
         JobView {
             invocation: InvocationId(0),
             ready_at_ms: 0.0,
             invocation_arrival_ms: 0.0,
-            slack_ms: slack,
+            deadline_ms: 100.0 + slack,
             pred_node: pred,
         }
     }

@@ -251,7 +251,7 @@ impl Scheduler for EsgScheduler {
         let slack = ctx
             .jobs
             .iter()
-            .map(|j| j.slack_ms)
+            .map(|j| j.slack_ms(ctx.now_ms))
             .fold(f64::INFINITY, f64::min);
         let transfer_est: f64 = window
             .iter()
@@ -569,12 +569,13 @@ mod tests {
         }
     }
 
+    /// A job with `slack` ms left at the test contexts' t = 100 ms.
     fn job(slack: f64, pred: Option<NodeId>) -> esg_sim::JobView {
         esg_sim::JobView {
             invocation: esg_model::InvocationId(0),
             ready_at_ms: 90.0,
             invocation_arrival_ms: 50.0,
-            slack_ms: slack,
+            deadline_ms: 100.0 + slack,
             pred_node: pred,
         }
     }

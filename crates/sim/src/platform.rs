@@ -17,9 +17,10 @@
 //! The cluster state is maintained *incrementally*: dispatches,
 //! completions, pre-warms, and churn mark the affected node and
 //! [`ClusterState::refresh`] re-syncs exactly those nodes (plus passive
-//! warm-set changes) — nothing is rebuilt per decision, and the
-//! scheduler-facing job views live in per-queue buffers with retained
-//! capacity. `SimConfig::validate_cluster_state` turns on the
+//! warm-set changes) — nothing is rebuilt per decision. The
+//! scheduler-facing job views are time-invariant and built once per job
+//! at enqueue, inside its [`AfwQueue`]; rounds and placements borrow
+//! them in place. `SimConfig::validate_cluster_state` turns on the
 //! equivalence oracle: every refresh point also rebuilds a from-scratch
 //! snapshot and asserts it equals the incremental state.
 
@@ -30,8 +31,8 @@ use crate::event::{Event, EventQueue, EventQueueKind};
 use crate::metrics::{AppMetrics, ExperimentResult, NodeSummary};
 use crate::policy::ShedReason;
 use crate::sched::{
-    fill_job_views, home_node, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx,
-    SchedCtx, Scheduler, SchedulerEvent,
+    home_node, JobView, Outcome, OverheadModel, QueueKey, QueueView, RoundCtx, SchedCtx, Scheduler,
+    SchedulerEvent,
 };
 use crate::shard::ShardedController;
 use crate::state::ClusterState;
@@ -45,7 +46,6 @@ use esg_profile::{latency_ms, NoiseModel, ProfileTable, TransferModel};
 use esg_workload::{Arrival, ArrivalPredictor, ArrivalStream, Workload};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The static experiment environment: catalog, applications, profiles,
@@ -251,7 +251,8 @@ struct RunningTask {
 }
 
 struct RecheckEntry {
-    key: QueueKey,
+    /// The parked queue's index.
+    qi: usize,
     candidates: Vec<Config>,
     planned_batch: Option<u32>,
     rounds: u32,
@@ -358,7 +359,9 @@ pub struct Simulation<'a> {
     queue_keys: Vec<QueueKey>,
     queue_fn: Vec<FnId>,
     queues: Vec<AfwQueue>,
-    queue_index: HashMap<QueueKey, usize>,
+    /// Dense queue index: app `a`'s stage `s` is queue `queue_base[a] + s`,
+    /// and `queue_base[a + 1] - queue_base[a]` is the app's stage count.
+    queue_base: Vec<usize>,
     /// Live invocations, slot-addressed ([`Job::slot`]). Ids stay
     /// monotone via `next_invocation`; slots recycle.
     invocations: Arena<WorkflowInstance>,
@@ -373,6 +376,12 @@ pub struct Simulation<'a> {
     /// the affected queue's jobs).
     queue_busy_until: Vec<SimTime>,
     recheck: Vec<RecheckEntry>,
+    /// Spare buffer [`process_recheck`](Self::process_recheck) swaps
+    /// with `recheck`, so retrying the list allocates nothing.
+    recheck_spare: Vec<RecheckEntry>,
+    /// `parked[qi]` counts queue `qi`'s entries on `recheck`: O(1)
+    /// membership for the eligible scan.
+    parked: Vec<u32>,
     /// Tasks whose init finished but whose node lacked capacity, FIFO per
     /// node; drained on every resource release.
     waiting_exec: Vec<std::collections::VecDeque<u64>>,
@@ -381,21 +390,12 @@ pub struct Simulation<'a> {
     queue_intervals: Vec<esg_model::Ewma>,
     queue_last_arrival: Vec<Option<SimTime>>,
     last_node: Vec<Option<NodeId>>,
-    /// Per-queue scheduler-facing job views, rebuilt in place per round
-    /// (retained capacity — no per-decision allocation).
-    job_views: Vec<Vec<JobView>>,
     /// Reused eligible-queue index buffer for the round driver.
     eligible: Vec<usize>,
     /// `decided_stamp[qi] == round_seq` marks a queue already decided in
     /// the current controller step (each queue is decided at most once
     /// per step, as in the classic single-pass scan).
     decided_stamp: Vec<u64>,
-    /// `views_stamp[qi] == round_seq` marks a queue whose job views are
-    /// already current for this step — views are time-invariant within a
-    /// step (fixed `now`, and an undecided queue's jobs cannot change),
-    /// so each queue is refilled at most once per step even though the
-    /// default replay runs one round per decision.
-    views_stamp: Vec<u64>,
     round_seq: u64,
     /// The sharded control plane (`cfg.shards > 1` or `force_sharded`);
     /// `None` runs the classic single round driver untouched.
@@ -460,7 +460,9 @@ impl<'a> Simulation<'a> {
     ) -> Simulation<'a> {
         let mut queue_keys = Vec::new();
         let mut queue_fn = Vec::new();
+        let mut queue_base = Vec::with_capacity(env.apps.len() + 1);
         for (ai, app) in env.apps.iter().enumerate() {
+            queue_base.push(queue_keys.len());
             for stage in 0..app.num_stages() {
                 queue_keys.push(QueueKey {
                     app: AppId(ai as u32),
@@ -469,12 +471,8 @@ impl<'a> Simulation<'a> {
                 queue_fn.push(app.nodes[stage]);
             }
         }
-        let queue_index = queue_keys
-            .iter()
-            .enumerate()
-            .map(|(i, &k)| (k, i))
-            .collect();
         let nq = queue_keys.len();
+        queue_base.push(nq);
         let slo_ms: Vec<f64> = (0..env.apps.len())
             .map(|i| env.slo_ms(AppId(i as u32)))
             .collect();
@@ -539,17 +537,17 @@ impl<'a> Simulation<'a> {
             last_node: vec![None; nq],
             queue_keys,
             queue_fn,
-            queue_index,
+            queue_base,
             invocations: Arena::new(),
             next_invocation: 0,
             tasks: Arena::new(),
             queue_busy_until: vec![SimTime::ZERO; nq],
             recheck: Vec::new(),
+            recheck_spare: Vec::new(),
+            parked: vec![0; nq],
             waiting_exec: vec![std::collections::VecDeque::new(); initial_nodes],
-            job_views: vec![Vec::new(); nq],
             eligible: Vec::new(),
             decided_stamp: vec![0; nq],
-            views_stamp: vec![0; nq],
             round_seq: 0,
             shard_ctl,
             shard_retry_stamp: vec![0; nq],
@@ -657,6 +655,8 @@ impl<'a> Simulation<'a> {
                     } else {
                         self.controller_step();
                     }
+                    #[cfg(debug_assertions)]
+                    self.check_round_invariants();
                 }
                 Event::ExecReady(id) => self.exec_ready(id),
                 Event::TransferDue(id, gen) => self.transfer_due(id, gen),
@@ -717,9 +717,23 @@ impl<'a> Simulation<'a> {
     }
 
     fn wake_controller(&mut self) {
-        // Scans are idempotent; coalescing beyond same-instant duplicates
-        // is unnecessary.
+        // Not coalesced, not even with a step already pending at this
+        // instant: steps are not idempotent. A step parks failed queues
+        // with `rounds == 0`, and `process_recheck` retries those (the
+        // `min_gap` pacing only holds back entries with `rounds > 0`),
+        // so a second same-instant step can dispatch or advance them
+        // towards the forced minimum. Dropping it would change the run.
         self.events.push(self.now, Event::ControllerStep);
+    }
+
+    /// The dense index of queue `key`, or `None` for an unknown app or
+    /// an out-of-range stage.
+    #[inline]
+    fn queue_of(&self, key: QueueKey) -> Option<usize> {
+        let app = key.app.index();
+        let base = *self.queue_base.get(app)?;
+        let end = *self.queue_base.get(app + 1)?;
+        (key.stage < end - base).then_some(base + key.stage)
     }
 
     fn handle_arrival(&mut self, arrival: Arrival) {
@@ -758,8 +772,13 @@ impl<'a> Simulation<'a> {
     }
 
     fn enqueue_job(&mut self, key: QueueKey, job: Job) {
-        let qi = self.queue_index[&key];
-        self.queues[qi].push(job);
+        let qi = self.queue_of(key).expect("job for an unknown queue");
+        let inst = self
+            .invocations
+            .get(job.slot)
+            .expect("queued job's invocation");
+        debug_assert_eq!(inst.id, job.invocation, "stale job slot enqueued");
+        self.queues[qi].push(job, inst.arrived_at, inst.deadline);
         self.notify(&SchedulerEvent::JobArrived {
             key,
             invocation: job.invocation,
@@ -819,17 +838,6 @@ impl<'a> Simulation<'a> {
         }
     }
 
-    /// Rebuilds queue `qi`'s scheduler-facing job views in place.
-    fn refill_queue_views(&mut self, qi: usize) {
-        let now = self.now;
-        let invocations = &self.invocations;
-        fill_job_views(&mut self.job_views[qi], self.queues[qi].jobs(), now, |j| {
-            let inst = invocations.get(j.slot).expect("queued job's invocation");
-            debug_assert_eq!(inst.id, j.invocation, "stale job slot in a live queue");
-            (inst.arrived_at, inst.deadline)
-        });
-    }
-
     /// One controller step: retry the recheck list, then run scheduling
     /// rounds until every eligible queue has been decided once. Each
     /// round presents all still-eligible queues; the default
@@ -851,7 +859,7 @@ impl<'a> Simulation<'a> {
                 if self.decided_stamp[qi] == self.round_seq
                     || self.queues[qi].is_empty()
                     || self.queue_busy_until[qi] > self.now
-                    || self.recheck.iter().any(|e| e.key == self.queue_keys[qi])
+                    || self.parked[qi] > 0
                 {
                     continue;
                 }
@@ -860,27 +868,19 @@ impl<'a> Simulation<'a> {
             if self.eligible.is_empty() {
                 return;
             }
-            for idx in 0..self.eligible.len() {
-                let qi = self.eligible[idx];
-                if self.views_stamp[qi] != self.round_seq {
-                    self.refill_queue_views(qi);
-                    self.views_stamp[qi] = self.round_seq;
-                }
-            }
             let (decisions, mut wall_ms) = {
                 // The round's queue list is the one remaining per-round
                 // allocation on this path: each `QueueView` borrows that
-                // queue's job-view buffer, so the list cannot outlive the
-                // iteration (the buffers are re-borrowed mutably next
-                // round). It is a handful of fat pointers — the per-node
-                // warm-set clones and job-view vectors the old snapshot
-                // contract rebuilt per decision are gone.
+                // queue's own job views, so the list cannot outlive the
+                // iteration (the queues are mutated by the decisions). It
+                // is a handful of fat pointers — nothing per job is built
+                // or copied per round.
                 let mut queues: Vec<QueueView<'_>> = Vec::with_capacity(self.eligible.len());
                 for &qi in &self.eligible {
                     let key = self.queue_keys[qi];
                     queues.push(QueueView {
                         key,
-                        jobs: &self.job_views[qi],
+                        jobs: self.queues[qi].views(),
                         function: self.queue_fn[qi],
                         slo_ms: self.slo_ms[key.app.index()],
                         base_latency_ms: self.base_ms[key.app.index()],
@@ -906,7 +906,7 @@ impl<'a> Simulation<'a> {
             };
             let mut applied = 0usize;
             for (key, outcome) in decisions {
-                let Some(&qi) = self.queue_index.get(&key) else {
+                let Some(qi) = self.queue_of(key) else {
                     continue; // unknown queue: ignore
                 };
                 // Only queues presented this round are decidable, once.
@@ -959,7 +959,7 @@ impl<'a> Simulation<'a> {
                     if self.decided_stamp[qi] == self.round_seq
                         || self.queues[qi].is_empty()
                         || self.queue_busy_until[qi] > self.now
-                        || self.recheck.iter().any(|e| e.key == self.queue_keys[qi])
+                        || self.parked[qi] > 0
                     {
                         continue;
                     }
@@ -968,19 +968,13 @@ impl<'a> Simulation<'a> {
                 if eligible.is_empty() {
                     continue;
                 }
-                for &qi in &eligible {
-                    if self.views_stamp[qi] != self.round_seq {
-                        self.refill_queue_views(qi);
-                        self.views_stamp[qi] = self.round_seq;
-                    }
-                }
                 let (decisions, wall_ms) = {
                     let mut queues: Vec<QueueView<'_>> = Vec::with_capacity(eligible.len());
                     for &qi in &eligible {
                         let key = self.queue_keys[qi];
                         queues.push(QueueView {
                             key,
-                            jobs: &self.job_views[qi],
+                            jobs: self.queues[qi].views(),
                             function: self.queue_fn[qi],
                             slo_ms: self.slo_ms[key.app.index()],
                             base_latency_ms: self.base_ms[key.app.index()],
@@ -1042,7 +1036,7 @@ impl<'a> Simulation<'a> {
                     (commits, conflicts, retries);
                 let t0 = Instant::now();
                 for (key, outcome) in decisions {
-                    let Some(&qi) = self.queue_index.get(&key) else {
+                    let Some(qi) = self.queue_of(key) else {
                         continue; // unknown queue: ignore
                     };
                     if self.decided_stamp[qi] == self.round_seq || !eligible.contains(&qi) {
@@ -1067,18 +1061,7 @@ impl<'a> Simulation<'a> {
                             if self.shard_retry_count[qi] > SHARD_RETRY_LIMIT {
                                 // Retry budget exhausted: settle through
                                 // the classic recheck park.
-                                self.metrics.rechecks += 1;
-                                self.recheck.push(RecheckEntry {
-                                    key,
-                                    candidates: outcome.candidates,
-                                    planned_batch: outcome.planned_batch,
-                                    rounds: 0,
-                                    last_retry: self.now,
-                                });
-                                self.events.push(
-                                    self.now + SimTime::from_ms(self.cfg.idle_backoff_ms),
-                                    Event::ControllerStep,
-                                );
+                                self.park(qi, outcome);
                                 self.decided_stamp[qi] = self.round_seq;
                                 applied += 1;
                                 commits += 1;
@@ -1193,7 +1176,7 @@ impl<'a> Simulation<'a> {
                 &self.base_ms,
                 self.now,
                 key,
-                &self.job_views[qi],
+                self.queues[qi].views(),
                 &self.state,
                 self.queue_intervals[qi].value(),
             );
@@ -1208,7 +1191,7 @@ impl<'a> Simulation<'a> {
         };
 
         if let Some((config, node)) = placed {
-            self.dispatch(key, config, node, outcome.planned_batch, charged);
+            self.dispatch(qi, config, node, outcome.planned_batch, charged);
             self.queue_busy_until[qi] = self.now + charged;
             self.events
                 .push(self.queue_busy_until[qi], Event::ControllerStep);
@@ -1220,30 +1203,37 @@ impl<'a> Simulation<'a> {
             self.metrics.wall_overhead_ms.pop();
             return DecisionCommit::Conflicted { outcome };
         } else {
-            self.metrics.rechecks += 1;
-            self.recheck.push(RecheckEntry {
-                key,
-                candidates: outcome.candidates,
-                planned_batch: outcome.planned_batch,
-                rounds: 0,
-                last_retry: self.now,
-            });
-            // Retried by process_recheck on future wakes; completions that
-            // free capacity wake the controller.
-            self.events.push(
-                self.now + SimTime::from_ms(self.cfg.idle_backoff_ms),
-                Event::ControllerStep,
-            );
+            self.park(qi, outcome);
         }
         DecisionCommit::Settled {
             consumed_wall: true,
         }
     }
 
+    /// Parks queue `qi` on the recheck list with `outcome`'s candidates
+    /// after a total placement failure. Retried by
+    /// [`process_recheck`](Self::process_recheck) on future wakes;
+    /// completions that free capacity wake the controller.
+    fn park(&mut self, qi: usize, outcome: Outcome) {
+        self.metrics.rechecks += 1;
+        self.parked[qi] += 1;
+        self.recheck.push(RecheckEntry {
+            qi,
+            candidates: outcome.candidates,
+            planned_batch: outcome.planned_batch,
+            rounds: 0,
+            last_retry: self.now,
+        });
+        self.events.push(
+            self.now + SimTime::from_ms(self.cfg.idle_backoff_ms),
+            Event::ControllerStep,
+        );
+    }
+
     /// Applies a shed verdict: drops every job of queue `qi`, kills the
     /// owning invocations, and purges their sibling-stage jobs from
     /// every other queue (a killed invocation can never complete, and a
-    /// stale sibling job would panic the job-view refill). Emits one
+    /// stale sibling job would still be scheduled and dispatched). Emits one
     /// [`SchedulerEvent::QueueShed`] for the shed queue and one per
     /// purged sibling queue.
     fn shed_queue(&mut self, qi: usize, key: QueueKey, reason: ShedReason) {
@@ -1290,15 +1280,6 @@ impl<'a> Simulation<'a> {
                 purged.push((oq, gone));
             }
         }
-        // Re-sync any job views already built for this controller step.
-        for &(oq, _) in &purged {
-            if self.views_stamp[oq] == self.round_seq {
-                self.refill_queue_views(oq);
-            }
-        }
-        if self.views_stamp[qi] == self.round_seq {
-            self.refill_queue_views(qi);
-        }
         self.notify(&SchedulerEvent::QueueShed {
             key,
             invocations: &shed,
@@ -1326,10 +1307,14 @@ impl<'a> Simulation<'a> {
             now_ms: self.now.as_ms(),
         });
         let min_gap = SimTime::from_ms(self.cfg.idle_backoff_ms);
-        let entries = std::mem::take(&mut self.recheck);
-        for mut entry in entries {
-            let qi = self.queue_index[&entry.key];
+        // Retry from the spare buffer: entries that stay parked go back
+        // onto the emptied list in order; dropped ones are uncounted.
+        let mut entries = std::mem::take(&mut self.recheck_spare);
+        std::mem::swap(&mut entries, &mut self.recheck);
+        for mut entry in entries.drain(..) {
+            let qi = entry.qi;
             if self.queues[qi].is_empty() {
+                self.parked[qi] -= 1;
                 continue; // queue drained by a forced dispatch already
             }
             if self.now.saturating_since(entry.last_retry) < min_gap && entry.rounds > 0 {
@@ -1338,15 +1323,14 @@ impl<'a> Simulation<'a> {
             }
             entry.last_retry = self.now;
             self.refresh_state();
-            self.refill_queue_views(qi);
             let placed = {
                 let ctx = make_ctx(
                     self.env,
                     &self.slo_ms,
                     &self.base_ms,
                     self.now,
-                    entry.key,
-                    &self.job_views[qi],
+                    self.queue_keys[qi],
+                    self.queues[qi].views(),
                     &self.state,
                     self.queue_intervals[qi].value(),
                 );
@@ -1360,7 +1344,8 @@ impl<'a> Simulation<'a> {
                 placed
             };
             if let Some((config, node)) = placed {
-                self.dispatch(entry.key, config, node, entry.planned_batch, SimTime::ZERO);
+                self.parked[qi] -= 1;
+                self.dispatch(qi, config, node, entry.planned_batch, SimTime::ZERO);
                 continue;
             }
             entry.rounds += 1;
@@ -1368,7 +1353,8 @@ impl<'a> Simulation<'a> {
                 // Forced minimum configuration on the freest node.
                 if let Some(node) = self.state.most_free(Config::MIN.resources()) {
                     self.metrics.forced_min_dispatches += 1;
-                    self.dispatch(entry.key, Config::MIN, node, None, SimTime::ZERO);
+                    self.parked[qi] -= 1;
+                    self.dispatch(qi, Config::MIN, node, None, SimTime::ZERO);
                     continue;
                 }
                 // Not even (1,1,1) fits; keep parked at the cap.
@@ -1376,17 +1362,43 @@ impl<'a> Simulation<'a> {
             }
             self.recheck.push(entry);
         }
+        self.recheck_spare = entries;
+    }
+
+    /// Debug-build invariants of the round driver, checked after every
+    /// controller step: each queue's parked count equals its number of
+    /// recheck entries, and each queue's views mirror its jobs.
+    #[cfg(debug_assertions)]
+    fn check_round_invariants(&self) {
+        let mut parked = vec![0u32; self.queues.len()];
+        for e in &self.recheck {
+            parked[e.qi] += 1;
+        }
+        assert_eq!(
+            parked,
+            self.parked,
+            "parked counts diverged from the recheck list at t={} ms",
+            self.now.as_ms()
+        );
+        for (qi, q) in self.queues.iter().enumerate() {
+            assert!(
+                q.views_mirror_jobs(),
+                "queue {:?}'s job views diverged from its jobs at t={} ms",
+                self.queue_keys[qi],
+                self.now.as_ms()
+            );
+        }
     }
 
     fn dispatch(
         &mut self,
-        key: QueueKey,
+        qi: usize,
         config: Config,
         node: NodeId,
         planned_batch: Option<u32>,
         delay: SimTime,
     ) {
-        let qi = self.queue_index[&key];
+        let key = self.queue_keys[qi];
         let avail = self.queues[qi].len() as u32;
         debug_assert!(avail > 0, "dispatch on empty queue {key:?}");
         if planned_batch.is_some_and(|b| b > avail) {

@@ -529,7 +529,7 @@ impl RoundPolicy for SloAdmission {
             let slack = q
                 .jobs
                 .iter()
-                .map(|j| j.slack_ms)
+                .map(|j| j.slack_ms(ctx.now_ms))
                 .fold(f64::NEG_INFINITY, f64::max);
             // When `shed` is off, hopeless queues are admitted for
             // best-effort draining (the dispatch stage's hopeless path
@@ -710,12 +710,16 @@ mod tests {
     use crate::SimEnv;
     use esg_model::{AppId, InvocationId, NodeId, Resources, SloClass};
 
+    /// The test rounds' simulated time, ms.
+    const NOW_MS: f64 = 100.0;
+
+    /// A job with `slack` ms left at [`NOW_MS`].
     fn job(slack: f64) -> JobView {
         JobView {
             invocation: InvocationId(0),
             ready_at_ms: 0.0,
             invocation_arrival_ms: 0.0,
-            slack_ms: slack,
+            deadline_ms: NOW_MS + slack,
             pred_node: None,
         }
     }
@@ -726,7 +730,7 @@ mod tests {
         queues: &'a [QueueView<'a>],
     ) -> RoundCtx<'a> {
         RoundCtx {
-            now_ms: 100.0,
+            now_ms: NOW_MS,
             queues,
             cluster,
             profiles: &env.profiles,

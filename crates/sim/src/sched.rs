@@ -49,6 +49,11 @@ pub struct QueueKey {
 }
 
 /// A queued job as seen by schedulers.
+///
+/// Views are time-invariant: every field is fixed when the job enters
+/// its queue, so the platform builds each view once at enqueue and
+/// schedulers borrow the queue's own storage. Time-dependent quantities
+/// are derived from the round's `now_ms` ([`slack_ms`](Self::slack_ms)).
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct JobView {
     /// Owning invocation.
@@ -57,10 +62,45 @@ pub struct JobView {
     pub ready_at_ms: f64,
     /// When the owning invocation arrived (start of its SLO clock), ms.
     pub invocation_arrival_ms: f64,
-    /// Remaining time until the invocation's deadline, ms (can be negative).
-    pub slack_ms: f64,
+    /// The owning invocation's end-to-end deadline (arrival + SLO), ms.
+    pub deadline_ms: f64,
     /// Node holding this job's input (None = entry stage / remote gateway).
     pub pred_node: Option<NodeId>,
+}
+
+impl JobView {
+    /// The view of `job`, whose invocation arrived at `arrived` and must
+    /// finish by `deadline`.
+    pub(crate) fn of(job: &Job, arrived: SimTime, deadline: SimTime) -> JobView {
+        JobView {
+            invocation: job.invocation,
+            ready_at_ms: job.ready_at.as_ms(),
+            invocation_arrival_ms: arrived.as_ms(),
+            deadline_ms: deadline.as_ms(),
+            pred_node: job.pred_node,
+        }
+    }
+
+    /// Remaining time until the invocation's deadline at `now_ms`, ms
+    /// (negative once the deadline has passed).
+    ///
+    /// ```
+    /// use esg_model::InvocationId;
+    /// use esg_sim::JobView;
+    /// let j = JobView {
+    ///     invocation: InvocationId(0),
+    ///     ready_at_ms: 0.0,
+    ///     invocation_arrival_ms: 0.0,
+    ///     deadline_ms: 100.0,
+    ///     pred_node: None,
+    /// };
+    /// assert_eq!(j.slack_ms(10.0), 90.0);
+    /// assert_eq!(j.slack_ms(130.0), -30.0);
+    /// ```
+    #[inline]
+    pub fn slack_ms(&self, now_ms: f64) -> f64 {
+        self.deadline_ms - now_ms
+    }
 }
 
 /// Everything a scheduler may consult when deciding one queue.
@@ -69,7 +109,9 @@ pub struct SchedCtx<'a> {
     pub now_ms: f64,
     /// The queue under consideration.
     pub key: QueueKey,
-    /// Queued jobs, oldest first.
+    /// Queued jobs, oldest first. Borrowed from the queue's own view
+    /// storage (built once per job at enqueue, never per decision);
+    /// derive slack with [`JobView::slack_ms`] at [`now_ms`](Self::now_ms).
     pub jobs: &'a [JobView],
     /// The function this queue's stage runs.
     pub function: FnId,
@@ -126,7 +168,8 @@ impl SchedCtx<'_> {
 pub struct QueueView<'a> {
     /// The queue.
     pub key: QueueKey,
-    /// Queued jobs, oldest first.
+    /// Queued jobs, oldest first: the queue's own time-invariant views
+    /// (see [`SchedCtx::jobs`]).
     pub jobs: &'a [JobView],
     /// The function this queue's stage runs.
     pub function: FnId,
@@ -748,28 +791,6 @@ pub fn place_min_fragmentation(
         .map(|n| n.id)
 }
 
-/// Converts queued [`Job`]s into scheduler-facing views, rebuilding into
-/// `out` (retained capacity — the platform's per-queue buffers make this
-/// allocation-free in steady state).
-pub fn fill_job_views<'j>(
-    out: &mut Vec<JobView>,
-    jobs: impl Iterator<Item = &'j Job>,
-    now: SimTime,
-    arrivals: impl Fn(&Job) -> (SimTime, SimTime),
-) {
-    out.clear();
-    out.extend(jobs.map(|j| {
-        let (arrived, deadline) = arrivals(j);
-        JobView {
-            invocation: j.invocation,
-            ready_at_ms: j.ready_at.as_ms(),
-            invocation_arrival_ms: arrived.as_ms(),
-            slack_ms: deadline.as_ms() - now.as_ms(),
-            pred_node: j.pred_node,
-        }
-    }));
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -866,32 +887,5 @@ mod tests {
         assert_eq!(o.candidates.len(), 1);
         assert_eq!(o.planned_batch, Some(2));
         assert_eq!(o.expansions, 5);
-    }
-
-    #[test]
-    fn fill_job_views_reuses_capacity() {
-        let jobs: Vec<Job> = (0..4u64)
-            .map(|i| Job {
-                invocation: InvocationId(i),
-                slot: i as u32,
-                stage: 0,
-                ready_at: SimTime::from_ms(i as f64),
-                pred_node: None,
-            })
-            .collect();
-        let mut out = Vec::new();
-        let arrivals = |_: &Job| (SimTime::ZERO, SimTime::from_ms(100.0));
-        fill_job_views(&mut out, jobs.iter(), SimTime::from_ms(10.0), arrivals);
-        assert_eq!(out.len(), 4);
-        assert_eq!(out[0].slack_ms, 90.0);
-        let ptr = out.as_ptr();
-        fill_job_views(
-            &mut out,
-            jobs.iter().take(2),
-            SimTime::from_ms(20.0),
-            arrivals,
-        );
-        assert_eq!(out.len(), 2);
-        assert_eq!(out.as_ptr(), ptr, "refill must reuse the buffer");
     }
 }

@@ -5,8 +5,8 @@
 //! queue (§3.1) once all predecessor stages complete; the controller drains
 //! queues by dispatching batched tasks.
 
+use crate::sched::JobView;
 use esg_model::{AppId, AppSpec, InvocationId, NodeId, SimTime};
-use std::collections::VecDeque;
 
 /// One job: one request at one stage of one invocation (§3.2 task model).
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -28,9 +28,23 @@ pub struct Job {
 
 /// An app-function-wise job queue: requests for the same function of the
 /// same application (§3.1).
+///
+/// Each job's scheduler-facing [`JobView`] is built once, at enqueue, and
+/// stored alongside the job: views are time-invariant (slack derives
+/// from the round's `now_ms`), so rounds and placements borrow
+/// [`views`](Self::views) in place instead of rebuilding them per step.
+///
+/// Storage is two parallel `Vec`s sharing a head offset. [`take`](Self::take)
+/// advances the head rather than shifting the backlog. A push that would
+/// grow the storage first reclaims the taken prefix when it is at least
+/// a quarter of the storage, so each job moves O(1) times amortised and
+/// the storage stays within a constant factor of the backlog.
 #[derive(Clone, Debug, Default)]
 pub struct AfwQueue {
-    jobs: VecDeque<Job>,
+    jobs: Vec<Job>,
+    views: Vec<JobView>,
+    /// Index of the oldest live job; `jobs[..head]` were already taken.
+    head: usize,
 }
 
 impl AfwQueue {
@@ -39,48 +53,97 @@ impl AfwQueue {
         AfwQueue::default()
     }
 
-    /// Appends a job (jobs arrive in ready order).
-    pub fn push(&mut self, job: Job) {
-        self.jobs.push_back(job);
+    /// Appends a job (jobs arrive in ready order) whose invocation
+    /// arrived at `arrived` and must finish by `deadline`.
+    pub fn push(&mut self, job: Job, arrived: SimTime, deadline: SimTime) {
+        if self.head > 0
+            && self.jobs.len() == self.jobs.capacity()
+            && 4 * self.head >= self.jobs.len()
+        {
+            self.compact();
+        }
+        self.jobs.push(job);
+        self.views.push(JobView::of(&job, arrived, deadline));
     }
 
     /// Removes and returns the first `n` jobs.
     pub fn take(&mut self, n: usize) -> Vec<Job> {
-        let n = n.min(self.jobs.len());
-        self.jobs.drain(..n).collect()
+        let end = self.head + n.min(self.len());
+        let out = self.jobs[self.head..end].to_vec();
+        self.head = end;
+        if self.head == self.jobs.len() {
+            self.jobs.clear();
+            self.views.clear();
+            self.head = 0;
+        }
+        out
     }
 
     /// Removes and returns every queued job (admission shedding).
     pub fn take_all(&mut self) -> Vec<Job> {
-        self.jobs.drain(..).collect()
+        self.take(self.len())
     }
 
     /// Keeps only the jobs `f` accepts, preserving order (purging the
     /// sibling jobs of a shed invocation).
-    pub fn retain(&mut self, f: impl FnMut(&Job) -> bool) {
-        self.jobs.retain(f);
+    pub fn retain(&mut self, mut f: impl FnMut(&Job) -> bool) {
+        self.compact();
+        let mut kept = 0;
+        for i in 0..self.jobs.len() {
+            if f(&self.jobs[i]) {
+                self.jobs.swap(kept, i);
+                self.views.swap(kept, i);
+                kept += 1;
+            }
+        }
+        self.jobs.truncate(kept);
+        self.views.truncate(kept);
+    }
+
+    /// Drops the taken prefix.
+    fn compact(&mut self) {
+        self.jobs.drain(..self.head);
+        self.views.drain(..self.head);
+        self.head = 0;
     }
 
     /// Jobs currently queued, oldest first.
-    pub fn jobs(&self) -> impl Iterator<Item = &Job> {
-        self.jobs.iter()
+    pub fn jobs(&self) -> &[Job] {
+        &self.jobs[self.head..]
+    }
+
+    /// The queued jobs' scheduler-facing views, parallel to
+    /// [`jobs`](Self::jobs).
+    pub fn views(&self) -> &[JobView] {
+        &self.views[self.head..]
+    }
+
+    /// Whether every view still describes the job at its position (same
+    /// length, invocation, ready time and input node, in order).
+    pub(crate) fn views_mirror_jobs(&self) -> bool {
+        self.jobs.len() == self.views.len()
+            && self.jobs().iter().zip(self.views()).all(|(j, v)| {
+                v.invocation == j.invocation
+                    && v.ready_at_ms == j.ready_at.as_ms()
+                    && v.pred_node == j.pred_node
+            })
     }
 
     /// Queue length.
     #[inline]
     pub fn len(&self) -> usize {
-        self.jobs.len()
+        self.jobs.len() - self.head
     }
 
     /// True when empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
+        self.len() == 0
     }
 
     /// The oldest job's ready time.
     pub fn oldest_ready_at(&self) -> Option<SimTime> {
-        self.jobs.front().map(|j| j.ready_at)
+        self.jobs().first().map(|j| j.ready_at)
     }
 }
 
@@ -211,17 +274,28 @@ mod tests {
         AppSpec::pipeline("p", vec![FnId(0), FnId(1), FnId(2)])
     }
 
+    fn job(i: u64, pred: Option<NodeId>) -> Job {
+        Job {
+            invocation: InvocationId(i),
+            slot: i as u32,
+            stage: 0,
+            ready_at: SimTime::from_ms(i as f64),
+            pred_node: pred,
+        }
+    }
+
+    /// Pushes `job` with an invocation that arrived 1 ms before it was
+    /// ready and has a 100 ms deadline.
+    fn push(q: &mut AfwQueue, job: Job) {
+        let arrived = job.ready_at.saturating_since(SimTime::from_ms(1.0));
+        q.push(job, arrived, arrived + SimTime::from_ms(100.0));
+    }
+
     #[test]
     fn queue_fifo_semantics() {
         let mut q = AfwQueue::new();
         for i in 0..5u64 {
-            q.push(Job {
-                invocation: InvocationId(i),
-                slot: i as u32,
-                stage: 0,
-                ready_at: SimTime::from_ms(i as f64),
-                pred_node: None,
-            });
+            push(&mut q, job(i, None));
         }
         assert_eq!(q.len(), 5);
         assert_eq!(q.oldest_ready_at(), Some(SimTime::from_ms(0.0)));
@@ -229,11 +303,71 @@ mod tests {
         assert_eq!(taken.len(), 2);
         assert_eq!(taken[0].invocation, InvocationId(0));
         assert_eq!(q.len(), 3);
+        // The views follow the jobs: built at push, taken with them.
+        assert_eq!(q.views().len(), 3);
+        assert_eq!(q.views()[0].invocation, InvocationId(2));
+        assert_eq!(q.views()[0].ready_at_ms, 2.0);
+        assert_eq!(q.views()[0].invocation_arrival_ms, 1.0);
+        assert_eq!(q.views()[0].deadline_ms, 101.0);
+        assert_eq!(q.oldest_ready_at(), Some(SimTime::from_ms(2.0)));
         // Taking more than available drains the queue.
         let rest = q.take(10);
         assert_eq!(rest.len(), 3);
         assert!(q.is_empty());
+        assert!(q.views().is_empty());
         assert_eq!(q.oldest_ready_at(), None);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// Random push/take/take_all/retain sequences against a `VecDeque`
+        /// model: the queue returns the model's jobs, and its views stay
+        /// parallel to its jobs after every operation.
+        #[test]
+        fn views_stay_parallel_to_jobs(
+            ops in proptest::collection::vec((0u8..8, 0usize..12), 1..160),
+        ) {
+            let mut q = AfwQueue::new();
+            let mut model: std::collections::VecDeque<Job> = Default::default();
+            let mut next = 0u64;
+            for (op, arg) in ops {
+                match op {
+                    // Pushes dominate so the queue builds a backlog.
+                    0..=3 => {
+                        let pred = (arg % 3 != 0).then_some(NodeId(arg as u32));
+                        let j = job(next, pred);
+                        next += 1;
+                        push(&mut q, j);
+                        model.push_back(j);
+                    }
+                    4 | 5 => {
+                        let want: Vec<Job> = model.drain(..arg.min(model.len())).collect();
+                        proptest::prop_assert_eq!(q.take(arg), want);
+                    }
+                    6 => {
+                        let want: Vec<Job> = model.drain(..).collect();
+                        proptest::prop_assert_eq!(q.take_all(), want);
+                    }
+                    _ => {
+                        let m = arg as u64 + 2;
+                        q.retain(|j| j.invocation.0 % m != 0);
+                        model.retain(|j| j.invocation.0 % m != 0);
+                    }
+                }
+                proptest::prop_assert!(q.views_mirror_jobs());
+                proptest::prop_assert_eq!(q.len(), model.len());
+                proptest::prop_assert!(q.jobs().iter().eq(model.iter()));
+                for (v, j) in q.views().iter().zip(q.jobs()) {
+                    let arrived = j.ready_at.saturating_since(SimTime::from_ms(1.0));
+                    proptest::prop_assert_eq!(v.invocation_arrival_ms, arrived.as_ms());
+                    proptest::prop_assert_eq!(
+                        v.deadline_ms,
+                        (arrived + SimTime::from_ms(100.0)).as_ms()
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -164,7 +164,7 @@ proptest::proptest! {
                     // own slack), no shared helper with the policy
                     // under test.
                     for j in q.jobs {
-                        let slack = j.slack_ms;
+                        let slack = j.slack_ms(ctx.now_ms);
                         let feasible = ctx.cluster.nodes().iter().any(|n| {
                             n.online
                                 && ctx.profiles.profile(q.function).entries().iter().any(|e| {
