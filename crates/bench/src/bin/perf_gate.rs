@@ -1,9 +1,15 @@
 //! `perf-gate`: the CI scheduler-overhead regression check.
 //!
-//! Compares a fresh `BENCH_overhead.json` against the committed baseline
-//! and fails (exit 1) when a case's median regressed beyond the
-//! tolerance, printing a per-case delta table (also appended to
+//! Compares fresh bench artifacts against the committed baselines and
+//! fails (exit 1) when a case's median regressed beyond the tolerance,
+//! printing a per-case delta table (also appended to
 //! `$GITHUB_STEP_SUMMARY` when set, so the job summary shows it).
+//!
+//! `--baseline` and `--fresh` may each be given more than once; the
+//! gate then runs over the union of every artifact's cases, so one
+//! suite's cases normalise against all the others. A case label that
+//! appears in two artifacts on the same side is an error, not a silent
+//! overwrite.
 //!
 //! Because CI runners and developer machines differ in absolute speed,
 //! medians are *normalized by default*: every case's `fresh/baseline`
@@ -40,6 +46,8 @@
 //! cargo run --release -p esg-bench --bin perf-gate -- \
 //!     --baseline bench_results/BENCH_overhead.json \
 //!     --fresh bench_results_fresh/BENCH_overhead.json \
+//!     --baseline bench_results/BENCH_scale.json \
+//!     --fresh bench_results_fresh/BENCH_scale.json \
 //!     --tolerance 0.30
 //! ```
 
@@ -49,8 +57,8 @@ use std::io::Write as _;
 use std::process::ExitCode;
 
 struct Args {
-    baseline: String,
-    fresh: String,
+    baselines: Vec<String>,
+    fresh: Vec<String>,
     tolerance: f64,
     hard_tolerance: f64,
     max_regressed_fraction: f64,
@@ -61,8 +69,8 @@ struct Args {
 
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
-        baseline: "bench_results/BENCH_overhead.json".into(),
-        fresh: String::new(),
+        baselines: Vec::new(),
+        fresh: Vec::new(),
         tolerance: 0.30,
         hard_tolerance: 1.0,
         max_regressed_fraction: 0.25,
@@ -74,8 +82,8 @@ fn parse_args() -> Result<Args, String> {
     while let Some(a) = it.next() {
         let mut value = |name: &str| it.next().ok_or_else(|| format!("missing value for {name}"));
         match a.as_str() {
-            "--baseline" => args.baseline = value("--baseline")?,
-            "--fresh" => args.fresh = value("--fresh")?,
+            "--baseline" => args.baselines.push(value("--baseline")?),
+            "--fresh" => args.fresh.push(value("--fresh")?),
             "--tolerance" => {
                 args.tolerance = value("--tolerance")?
                     .parse()
@@ -108,6 +116,10 @@ fn parse_args() -> Result<Args, String> {
     if args.fresh.is_empty() {
         return Err("--fresh <path> is required".into());
     }
+    if args.baselines.is_empty() {
+        args.baselines
+            .push("bench_results/BENCH_overhead.json".into());
+    }
     Ok(args)
 }
 
@@ -126,6 +138,31 @@ fn medians(doc: &Value) -> BTreeMap<String, f64> {
                 .collect()
         })
         .unwrap_or_default()
+}
+
+/// The union of [`medians`] over `docs` (each `(path, artifact)`); a
+/// case label found in two artifacts is an error naming both paths.
+fn merged_medians(docs: &[(String, Value)]) -> Result<BTreeMap<String, f64>, String> {
+    let mut merged = BTreeMap::new();
+    let mut origin: BTreeMap<String, &str> = BTreeMap::new();
+    for (path, doc) in docs {
+        for (label, m) in medians(doc) {
+            if let Some(first) = origin.insert(label.clone(), path) {
+                return Err(format!("case {label} appears in both {first} and {path}"));
+            }
+            merged.insert(label, m);
+        }
+    }
+    Ok(merged)
+}
+
+/// Loads every artifact in `paths` and merges their cases.
+fn load_all(paths: &[String]) -> Result<BTreeMap<String, f64>, String> {
+    let docs = paths
+        .iter()
+        .map(|p| Ok((p.clone(), load(p)?)))
+        .collect::<Result<Vec<_>, String>>()?;
+    merged_medians(&docs)
 }
 
 /// Median of an unsorted, non-empty slice (by value; averages the middle
@@ -170,7 +207,7 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (base_doc, fresh_doc) = match (load(&args.baseline), load(&args.fresh)) {
+    let (base, fresh) = match (load_all(&args.baselines), load_all(&args.fresh)) {
         (Ok(b), Ok(f)) => (b, f),
         (b, f) => {
             for r in [b, f] {
@@ -181,8 +218,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let base = medians(&base_doc);
-    let fresh = medians(&fresh_doc);
     let shared: Vec<&String> = base.keys().filter(|k| fresh.contains_key(*k)).collect();
     if shared.is_empty() {
         eprintln!("perf-gate: no shared cases between baseline and fresh run");
@@ -277,5 +312,56 @@ as runner noise). Median warm-cache speedup: {} (required ≥{:.0}×; smallest p
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::json;
+
+    fn artifact(cases: &[(&str, f64)]) -> Value {
+        let cases: Vec<Value> = cases
+            .iter()
+            .map(|&(label, m)| json!({"case": label, "median_ns": m}))
+            .collect();
+        json!({"cases": (Value::Array(cases))})
+    }
+
+    #[test]
+    fn repeated_artifacts_gate_the_union_of_cases() {
+        let docs = [
+            (
+                "overhead.json".to_string(),
+                artifact(&[("overhead/cold/a", 2_000.0), ("overhead/warm/a", 100.0)]),
+            ),
+            (
+                "scale.json".to_string(),
+                artifact(&[("scale/replay/heap", 60_000.0)]),
+            ),
+        ];
+        let merged = merged_medians(&docs).expect("disjoint labels merge");
+        assert_eq!(
+            merged.keys().map(String::as_str).collect::<Vec<_>>(),
+            vec!["overhead/cold/a", "overhead/warm/a", "scale/replay/heap"]
+        );
+        assert_eq!(merged["scale/replay/heap"], 60_000.0);
+    }
+
+    #[test]
+    fn a_label_in_two_artifacts_is_an_error() {
+        let docs = [
+            (
+                "a.json".to_string(),
+                artifact(&[("scale/replay/heap", 1.0)]),
+            ),
+            (
+                "b.json".to_string(),
+                artifact(&[("scale/replay/heap", 2.0)]),
+            ),
+        ];
+        let err = merged_medians(&docs).expect_err("duplicate label");
+        assert!(err.contains("scale/replay/heap"), "{err}");
+        assert!(err.contains("a.json") && err.contains("b.json"), "{err}");
     }
 }

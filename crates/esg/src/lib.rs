@@ -63,11 +63,10 @@ pub mod prelude {
         HealthSnapshot, MemoryFootprint, MinScheduler, Monitored, NodeLoad, NodeSummary,
         NodeTransferStats, NodeView, OverheadModel, PackingConfig, Pin, PinPlan, PinnedStats,
         PinningConfig, PolicySpec, PolicyStack, PolicyStats, QueueCounters, QueueHealth,
-        QueueHealthMonitor, QueuePartitioner, QueueView, RankedQueues, RoundCtx, RoundPolicy,
-        SchedCtx, Scheduler, SchedulerEvent, SchedulerStats, ServerMap, ShardStats,
-        ShardedController, ShedReason, Sim, SimBuilder, SimConfig, SimEnv, SimError, Simulation,
-        SloAdmission, SloAdmissionConfig, TraceError, TraceFile, TraceRecorder, TraceReplay,
-        Traced, TransferCounters, TransferSummary,
+        QueueHealthMonitor, QueueView, RankedQueues, RoundCtx, RoundPolicy, SchedCtx, Scheduler,
+        SchedulerEvent, SchedulerStats, ServerMap, ShedReason, Sim, SimBuilder, SimConfig, SimEnv,
+        SimError, Simulation, SloAdmission, SloAdmissionConfig, TraceError, TraceFile,
+        TraceRecorder, TraceReplay, Traced, TransferCounters, TransferSummary,
     };
     pub use esg_workload::{
         shaped_stream, shaped_stream_with, shaped_workload, shaped_workload_with, ArrivalPredictor,

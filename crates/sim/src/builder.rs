@@ -276,23 +276,6 @@ impl SimBuilder {
         self
     }
 
-    /// Controller shards: partitions the queues across `n` round
-    /// drivers staging against the shared generation-stamped state,
-    /// with ordered optimistic commits (conflicts retry). `1` keeps the
-    /// classic single driver; must be at least 1.
-    pub fn shards(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
-    /// Routes even a one-shard run through the sharded staging/commit
-    /// driver (equivalence tests and benches; the classic driver is the
-    /// default at `shards == 1`).
-    pub fn force_sharded(mut self, on: bool) -> Self {
-        self.cfg.force_sharded = on;
-        self
-    }
-
     /// Event-queue backend: the default binary [`EventQueueKind::Heap`]
     /// or the O(1) hierarchical timer [`EventQueueKind::Wheel`]. Both
     /// produce bit-identical dispatch traces (pinned by the replay
@@ -304,7 +287,7 @@ impl SimBuilder {
     }
 
     /// Records every run's full control-plane event stream (arrivals,
-    /// dispatches, completions, churn, sheds, shard commits) to `path`,
+    /// dispatches, completions, churn, sheds) to `path`,
     /// replayable via [`TraceReplay`](crate::TraceReplay). The write
     /// happens at the end of each run and is best-effort (a failure is
     /// reported on stderr); loading is fully typed through
@@ -500,13 +483,6 @@ impl SimBuilder {
                 knob: "recheck_limit",
                 value: 0.0,
                 requirement: "at least 1 round before the forced minimum",
-            });
-        }
-        if cfg.shards == 0 {
-            return Err(SimError::InvalidKnob {
-                knob: "shards",
-                value: 0.0,
-                requirement: "at least 1 controller shard",
             });
         }
 

@@ -55,7 +55,6 @@ pub mod pinning;
 pub mod platform;
 pub mod policy;
 pub mod sched;
-pub mod shard;
 pub mod state;
 pub mod trace;
 pub mod wheel;
@@ -86,7 +85,6 @@ pub use sched::{
     OverheadModel, QueueKey, QueueView, RoundCtx, SchedCtx, Scheduler, SchedulerEvent,
     SchedulerStats,
 };
-pub use shard::{QueuePartitioner, ShardStats, ShardedController};
 pub use state::{ClusterState, NodeView};
 pub use trace::{
     dispatch_trace, fnv64, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TRACE_FORMAT,

@@ -121,16 +121,14 @@ pub struct ClusterState {
     /// node's warm set can change passively. With nothing dirty, a
     /// refresh strictly before this instant is a provable no-op and
     /// returns without scanning the node array at all — the scan used to
-    /// be O(nodes) per controller round even in steady state, which the
-    /// scale bench's hot loop surfaces.
+    /// be O(nodes) per controller round even in steady state.
     earliest_passive: SimTime,
     generation: u64,
     /// Component-wise maximum of `free` over online nodes, exact while
     /// `max_free_stale` is false.
     max_free: Resources,
-    /// Set by hand mutations ([`node_mut`](Self::node_mut),
-    /// [`try_commit`](Self::try_commit)) until the next full sync; a
-    /// stale bound answers "may fit" to everything.
+    /// Set by hand mutations ([`node_mut`](Self::node_mut)) until the
+    /// next full sync; a stale bound answers "may fit" to everything.
     max_free_stale: bool,
 }
 
@@ -282,9 +280,8 @@ impl ClusterState {
     ///
     /// Conservative: `true` does not promise a fit (the largest free
     /// vCPU and vGPU counts may sit on different nodes), and after a
-    /// hand mutation ([`node_mut`](Self::node_mut),
-    /// [`try_commit`](Self::try_commit)) the bound is stale and answers
-    /// `true` until the next [`refresh`](Self::refresh) that syncs,
+    /// hand mutation ([`node_mut`](Self::node_mut)) the bound is stale
+    /// and answers `true` until the next [`refresh`](Self::refresh) that syncs,
     /// [`note_join`](Self::note_join) or rebuild. So `!may_fit(d)`
     /// always implies [`feasible(d)`](Self::feasible) is empty, and the
     /// placement helpers use it to skip their node walks exactly when
@@ -313,36 +310,6 @@ impl ClusterState {
         }
         self.dirty[i] = false;
         self.generation += 1;
-    }
-
-    /// True when the observable state has moved past the `generation`
-    /// snapshot `gen`. The sharded controller's commit step validates
-    /// each shard's staged round with this: a decision staged at `gen`
-    /// may have been invalidated by another shard's commit when the
-    /// state moved underneath it.
-    #[inline]
-    pub fn moved_since(&self, gen: u64) -> bool {
-        self.generation != gen
-    }
-
-    /// Optimistic commit of a placement staged against an earlier
-    /// snapshot: re-validates that `node` is still online with `demand`
-    /// free, debits the view in place, and bumps the generation.
-    /// Returns `false` — leaving the state untouched — when the
-    /// placement no longer fits (the caller's round conflicted and must
-    /// retry). Drives the scale bench's synthetic commit loop; the full
-    /// platform commits through the cluster and [`touch`](Self::touch).
-    pub fn try_commit(&mut self, node: NodeId, demand: Resources) -> bool {
-        let Some(v) = self.nodes.get_mut(node.index()) else {
-            return false;
-        };
-        if !(v.online && v.free.contains(demand)) {
-            return false;
-        }
-        v.free -= demand;
-        self.generation += 1;
-        self.max_free_stale = true;
-        true
     }
 
     /// Nodes able to host `demand`.
@@ -574,26 +541,6 @@ mod tests {
     }
 
     #[test]
-    fn try_commit_validates_and_stamps() {
-        let n0 = NodeView::idle(NodeId(0), Resources::new(16, 7));
-        let mut state = ClusterState::from_views(vec![n0]);
-        let g0 = state.generation();
-        assert!(!state.moved_since(g0));
-        assert!(state.try_commit(NodeId(0), Resources::new(10, 4)));
-        assert_eq!(state.node(NodeId(0)).free, Resources::new(6, 3));
-        assert!(state.moved_since(g0), "a commit moves the generation");
-        // No longer fits: the commit fails and leaves everything alone.
-        let g1 = state.generation();
-        assert!(!state.try_commit(NodeId(0), Resources::new(10, 4)));
-        assert_eq!(state.node(NodeId(0)).free, Resources::new(6, 3));
-        assert!(!state.moved_since(g1));
-        // Offline and out-of-range nodes never accept.
-        state.node_mut(NodeId(0)).online = false;
-        assert!(!state.try_commit(NodeId(0), Resources::new(1, 1)));
-        assert!(!state.try_commit(NodeId(9), Resources::new(1, 1)));
-    }
-
-    #[test]
     fn generation_stamps_observable_changes() {
         let cluster = Cluster::new(2, Resources::new(16, 7));
         let mut state = ClusterState::from_cluster(&cluster, SimTime::ZERO);
@@ -741,8 +688,12 @@ mod may_fit_props {
                         v.warm = vec![warm];
                     }
                     _ => {
+                        // A hand debit that fits, leaving the bound stale.
                         let d = random_demand(&mut rng);
-                        state.try_commit(id, d);
+                        let v = state.node_mut(id);
+                        if v.online && v.free.contains(d) {
+                            v.free -= d;
+                        }
                     }
                 }
                 let probe = random_demand(&mut rng);

@@ -7,7 +7,7 @@
 //! * [`TraceRecorder`] — the recording sink. Selected through
 //!   [`SimBuilder::record_trace`](crate::SimBuilder::record_trace), it
 //!   captures every control-plane event (arrivals, dispatches,
-//!   completions, churn, sheds, shard commits) plus the run's
+//!   completions, churn, sheds) plus the run's
 //!   environment header (SLO class, configuration grid, full
 //!   [`SimConfig`]) and writes one compact JSON document at the end of
 //!   the run via the vendored `serde_json`.
@@ -17,7 +17,7 @@
 //!   version, schema drift).
 //! * [`TraceReplay`] — re-drives a scheduler against the recorded
 //!   arrivals and churn under the recorded configuration (optionally
-//!   overriding the shard count or event-queue backend), producing an
+//!   overriding the event-queue backend), producing an
 //!   [`ExperimentResult`] and a dispatch-trace digest comparable with
 //!   the recorded stream's own [`TraceFile::dispatch_digest`].
 //!
@@ -70,14 +70,18 @@ pub const TRACE_FORMAT: &str = "esg-trace";
 /// [`TraceError::Version`].
 pub const TRACE_VERSION: u32 = 1;
 
-/// Current minor revision within [`TRACE_VERSION`]. Minor bumps are
-/// strictly additive (optional header fields, new event tags), so a
-/// v1.0 reader's documents still load here and a v1.0 document loads as
-/// minor 0. Minor 1 added the data-plane family: per-class bandwidth
-/// fields, the `data_plane` config knob, and the transfer event tags.
-/// Minor 2 added the server-topology family: the optional
-/// `cluster.topology` object and the `pinning` config knob.
-pub const TRACE_VERSION_MINOR: u32 = 2;
+/// Current minor revision within [`TRACE_VERSION`]. A v1.0 document
+/// loads here as minor 0. Minor 1 added the data-plane family:
+/// per-class bandwidth fields, the `data_plane` config knob, and the
+/// transfer event tags. Minor 2 added the server-topology family: the
+/// optional `cluster.topology` object and the `pinning` config knob.
+/// Minor 3 removed the sharded control plane: the writer drops the
+/// `shards` and `force_sharded` header keys and the `X` shard-commit
+/// event tag. Older headers still load when those keys hold the
+/// single-driver values (`1` and `false`); any other value is a
+/// [`TraceError::Schema`], since today's one round driver would not
+/// replay that run.
+pub const TRACE_VERSION_MINOR: u32 = 3;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -156,9 +160,9 @@ pub fn fnv64(s: &str) -> u64 {
 /// Renders the canonical dispatch/churn/shed trace the golden digests
 /// hash: `D {app}.{stage} {config} n{node} x{jobs};` per dispatch,
 /// `C n{node} join|drain;` per churn event, `S {app}.{stage} x{jobs}
-/// {reason};` per shed. Arrivals, completions, recheck ticks, and shard
-/// commits are deliberately not rendered, so new telemetry event kinds
-/// cannot move existing digests.
+/// {reason};` per shed. Arrivals, completions, recheck ticks, and
+/// transfer events are deliberately not rendered, so new telemetry
+/// event kinds cannot move existing digests.
 pub fn dispatch_trace<'a, I>(records: I) -> String
 where
     I: IntoIterator<Item = &'a EventRecord>,
@@ -252,8 +256,8 @@ impl Scheduler for Traced {
     }
 
     // The round-policy hooks are forwarded too: `Sim::try_run` installs
-    // a builder policy through `adopt_policy`, and the sharded driver
-    // clones the stack `round_policy` exposes for each shard.
+    // a builder policy through `adopt_policy`, and callers reach the
+    // wrapped stack through `round_policy`.
     fn round_policy(&mut self) -> Option<&mut PolicyStack> {
         self.inner.round_policy()
     }
@@ -504,7 +508,6 @@ impl TraceFile {
 #[derive(Clone, Debug)]
 pub struct TraceReplay {
     trace: TraceFile,
-    shards: Option<usize>,
     event_queue: Option<EventQueueKind>,
 }
 
@@ -518,7 +521,6 @@ impl TraceReplay {
     pub fn new(trace: TraceFile) -> TraceReplay {
         TraceReplay {
             trace,
-            shards: None,
             event_queue: None,
         }
     }
@@ -526,13 +528,6 @@ impl TraceReplay {
     /// The underlying trace document.
     pub fn trace(&self) -> &TraceFile {
         &self.trace
-    }
-
-    /// Overrides the controller shard count for replays (the recorded
-    /// value is the default) — the axis the replay bench sweeps.
-    pub fn shards(mut self, n: usize) -> TraceReplay {
-        self.shards = Some(n);
-        self
     }
 
     /// Overrides the event-queue backend for replays.
@@ -546,9 +541,6 @@ impl TraceReplay {
     pub fn config(&self) -> SimConfig {
         let mut cfg = self.trace.config.clone();
         cfg.record_trace = None;
-        if let Some(n) = self.shards {
-            cfg.shards = n;
-        }
         if let Some(k) = self.event_queue {
             cfg.event_queue = k;
         }
@@ -886,8 +878,6 @@ fn config_to_json(cfg: &SimConfig) -> Value {
     m.insert("idle_backoff_ms", cfg.idle_backoff_ms);
     m.insert("max_sim_ms", cfg.max_sim_ms);
     m.insert("validate_cluster_state", cfg.validate_cluster_state);
-    m.insert("shards", cfg.shards);
-    m.insert("force_sharded", cfg.force_sharded);
     m.insert(
         "event_queue",
         match cfg.event_queue {
@@ -952,6 +942,19 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
             },
         }),
     };
+    // v1.0–1.2 headers carry the removed sharded driver's knobs. Only
+    // their single-driver values describe a run the one round driver
+    // reproduces; anything else must not replay silently.
+    if doc.get("shards").is_some_and(|v| v.as_u64() != Some(1))
+        || doc
+            .get("force_sharded")
+            .is_some_and(|v| *v != Value::Bool(false))
+    {
+        return Err(schema(
+            "shards/force_sharded select the removed sharded control plane; \
+only the single-driver values (1, false) replay",
+        ));
+    }
     Ok(SimConfig {
         nodes: usize_field(doc, "nodes")?,
         node_resources: Resources::new(
@@ -976,8 +979,6 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
         idle_backoff_ms: f64_field(doc, "idle_backoff_ms")?,
         max_sim_ms: f64_field(doc, "max_sim_ms")?,
         validate_cluster_state: bool_field(doc, "validate_cluster_state")?,
-        shards: usize_field(doc, "shards")?,
-        force_sharded: bool_field(doc, "force_sharded")?,
         event_queue: queue_kind_from_str(str_field(doc, "event_queue")?)?,
         // Arrived in v1.1; absent (v1.0 documents) means the classic
         // scalar transfer model.
@@ -1057,19 +1058,6 @@ fn encode_event(r: &EventRecord) -> Value {
         EventKind::TransferCompleted { node, mb } => {
             vec!["TC".into(), t, node.0.into(), mb.into()]
         }
-        EventKind::ShardCommit {
-            shard,
-            commits,
-            conflicts,
-            retries,
-        } => vec![
-            "X".into(),
-            t,
-            shard.into(),
-            commits.into(),
-            conflicts.into(),
-            retries.into(),
-        ],
     })
 }
 
@@ -1174,15 +1162,6 @@ fn decode_event(v: &Value, idx: usize) -> Result<EventRecord, TraceError> {
                 mb: f64_at(a, 3, &ctx)?,
             }
         }
-        "X" => {
-            expect_len(6)?;
-            EventKind::ShardCommit {
-                shard: usize_at(a, 2, &ctx)?,
-                commits: u64_at(a, 3, &ctx)?,
-                conflicts: u64_at(a, 4, &ctx)?,
-                retries: u64_at(a, 5, &ctx)?,
-            }
-        }
         other => return Err(schema(&format!("{ctx}: unknown event tag {other:?}"))),
     };
     Ok(EventRecord { now_ms, kind })
@@ -1243,15 +1222,6 @@ mod tests {
                 kind: EventKind::RecheckTick,
             },
             EventRecord {
-                now_ms: 13.0,
-                kind: EventKind::ShardCommit {
-                    shard: 1,
-                    commits: 4,
-                    conflicts: 1,
-                    retries: 1,
-                },
-            },
-            EventRecord {
                 now_ms: 14.0,
                 kind: EventKind::TransferStarted {
                     node: NodeId(4),
@@ -1292,8 +1262,6 @@ mod tests {
                 .drain(1_000.0, NodeId(3))
                 .join(2_000.0, NodeClass::t4()),
             seed: u64::MAX,
-            shards: 4,
-            force_sharded: true,
             event_queue: EventQueueKind::Wheel,
             warmup_exclude_ms: 123.5,
             data_plane: Some(crate::dataplane::DataPlaneConfig {
@@ -1334,8 +1302,9 @@ mod tests {
         // with flavor-stock bandwidths and a scalar transfer model.
         let class = "{\"name\": \"t4\", \"gpu\": \"t4\", \"vgpu_slices\": 4, \
 \"vcpus\": 8, \"speed\": 0.5, \"link_scale\": 1.5, \"price_scale\": 0.4}";
-        let text = format!(
-            "{{\"format\": \"esg-trace\", \"version\": 1, \"scheduler\": \"min\", \
+        let doc = |sharding: &str, events: &str| {
+            format!(
+                "{{\"format\": \"esg-trace\", \"version\": 1, \"scheduler\": \"min\", \
 \"slo\": \"moderate\", \"apps\": \"standard\", \
 \"grid\": {{\"batches\": [1], \"vcpus\": [1], \"vgpus\": [1]}}, \
 \"config\": {{\"nodes\": 2, \"node_resources\": [16, 7], \
@@ -1344,10 +1313,12 @@ mod tests {
 \"prewarm\": false, \"prewarm_alpha\": 0.5, \"initial_warm_per_node\": 0, \
 \"prewarm_pool_cap\": 4, \"warmup_exclude_ms\": 0.0, \"seed\": 42, \
 \"recheck_limit\": 3, \"idle_backoff_ms\": 5.0, \"max_sim_ms\": 100.0, \
-\"validate_cluster_state\": false, \"shards\": 1, \"force_sharded\": false, \
-\"event_queue\": \"heap\"}}, \"arrivals\": [], \"events\": []}}"
-        );
-        let t = TraceFile::from_json(&text).expect("v1.0 document loads");
+\"validate_cluster_state\": false, {sharding} \
+\"event_queue\": \"heap\"}}, \"arrivals\": [], \"events\": [{events}]}}"
+            )
+        };
+        let single = "\"shards\": 1, \"force_sharded\": false,";
+        let t = TraceFile::from_json(&doc(single, "")).expect("v1.0 document loads");
         assert_eq!(t.version, TRACE_VERSION);
         assert_eq!(t.version_minor, 0);
         assert_eq!(t.config.data_plane, None);
@@ -1356,6 +1327,28 @@ mod tests {
         assert_eq!(loaded.pcie_in_gbps, stock.pcie_in_gbps);
         assert_eq!(loaded.nvlink_gbps, stock.nvlink_gbps);
         assert_eq!(loaded.staging_mb, stock.staging_mb);
+
+        // A recorded sharded run is refused by name, never replayed on
+        // the single driver.
+        for sharded in [
+            "\"shards\": 4, \"force_sharded\": false,",
+            "\"shards\": 1, \"force_sharded\": true,",
+        ] {
+            match TraceFile::from_json(&doc(sharded, "")) {
+                Err(TraceError::Schema { context }) => {
+                    assert!(context.contains("sharded"), "{context}")
+                }
+                other => panic!("{sharded}: expected a schema error, got {other:?}"),
+            }
+        }
+        // A shard-commit record from an old sharded recording is an
+        // unknown tag now.
+        match TraceFile::from_json(&doc(single, "[\"X\", 1.0, 0, 1, 0, 0]")) {
+            Err(TraceError::Schema { context }) => {
+                assert!(context.contains("unknown event tag"), "{context}")
+            }
+            other => panic!("expected an unknown-tag error, got {other:?}"),
+        }
     }
 
     #[test]

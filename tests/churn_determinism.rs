@@ -83,11 +83,29 @@ fn parallel_churn_sweep_is_bit_identical_to_serial() {
 #[test]
 fn churn_actually_changes_membership_and_stays_bounded() {
     // Guards against the churn axis silently no-opping (which would make
-    // the determinism assertions vacuous) and re-checks the capacity
-    // invariant on every churned cell.
-    let sweep = suite().run();
+    // the determinism assertions vacuous) and re-checks the capacity and
+    // work-conservation invariants on every churned cell. The standard
+    // 30 s warm-up window would hide every completion of these 4 s runs
+    // from the counters, so this sweep measures from t = 0; warm-up only
+    // filters metrics, never the simulated run.
+    let sweep = suite()
+        .with_sim_config(SimConfig {
+            warmup_exclude_ms: 0.0,
+            ..standard_config()
+        })
+        .run();
     for cell in &sweep.results {
-        let nodes = &cell.result.nodes;
+        let r = &cell.result;
+        assert_eq!(
+            r.arrivals,
+            r.total_completed() + r.shed_invocations,
+            "{} / {} / {} / seed {}: churn stranded work",
+            cell.scheduler,
+            cell.cluster,
+            cell.traffic,
+            cell.seed
+        );
+        let nodes = &r.nodes;
         match cell.cluster.as_str() {
             "mixed-mig+churn" => {
                 assert_eq!(nodes.len(), 18, "16 + 2 joins");

@@ -32,9 +32,6 @@ impl RoundPolicy for AdmitEverything {
     fn admit(&mut self, ctx: &RoundCtx<'_>) -> AdmissionPlan {
         AdmissionPlan::admit_all(ctx.queues.len())
     }
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(AdmitEverything)
-    }
 }
 
 /// A rank stage that replays classic scan order explicitly.
@@ -46,9 +43,6 @@ impl RoundPolicy for ClassicOrder {
     }
     fn rank(&mut self, _ctx: &RoundCtx<'_>, admitted: &[usize]) -> RankedQueues {
         RankedQueues::scan_order(admitted)
-    }
-    fn clone_box(&self) -> Box<dyn RoundPolicy> {
-        Box::new(ClassicOrder)
     }
 }
 
@@ -185,11 +179,6 @@ invocation {:?} (slack {slack} ms)",
             fn stats(&self) -> esg::sim::PolicyStats {
                 self.inner.stats()
             }
-            fn clone_box(&self) -> Box<dyn RoundPolicy> {
-                Box::new(OracleChecked {
-                    inner: self.inner.clone(),
-                })
-            }
         }
 
         let spec = specs()[spec_idx].clone();
@@ -296,8 +285,8 @@ fn deferring_admission_variant_makes_progress() {
 #[test]
 fn wrapped_schedulers_adopt_builder_policies() {
     // `Traced` and `Monitored` forward `adopt_policy` and `round_policy`:
-    // a builder-selected packing policy on two shards is accepted through
-    // either wrapper, and each wrapped run dispatches exactly as the bare
+    // a builder-selected packing policy is accepted through either
+    // wrapper, and each wrapped run dispatches exactly as the bare
     // scheduler does (the platform's trace recorder fingerprints all
     // three runs the same way).
     let run = |sched: &mut dyn Scheduler, tag: &str| {
@@ -308,7 +297,6 @@ fn wrapped_schedulers_adopt_builder_policies() {
         let sim = SimBuilder::new(SloClass::Moderate)
             .seed(11)
             .policy(PolicySpec::CrossQueuePacking(PackingConfig::default()))
-            .shards(2)
             .record_trace(&path)
             .build()
             .expect("valid configuration");
@@ -327,11 +315,11 @@ fn wrapped_schedulers_adopt_builder_policies() {
     let mut traced = Traced::new(Box::new(EsgScheduler::new()));
     assert_eq!(run(&mut traced, "traced"), bare);
     assert_eq!(traced.trace_digest(), bare.1);
-    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 500.0, 2);
+    let mut monitored = Monitored::new(Box::new(EsgScheduler::new()), 500.0);
     assert_eq!(run(&mut monitored, "monitored"), bare);
     assert!(!monitored.monitor.snapshots().is_empty());
-    // The adopted stack is what each wrapper exposes to the sharded
-    // driver, which clones it per shard.
+    // The adopted stack is what each wrapper exposes through
+    // `round_policy`.
     for sched in [&mut traced as &mut dyn Scheduler, &mut monitored] {
         let stack = sched.round_policy().expect("the wrapper exposes the stack");
         assert!(!stack.is_classic(), "the packing stack was adopted");
