@@ -180,8 +180,8 @@ fn main() {
                 });
 
                 // Warm: the hit path — key fingerprint plus a memo lookup
-                // (and priority refresh) returning the memoised K-path
-                // result.
+                // (and priority refresh) returning the memoised plan
+                // summary.
                 let key = PlanKey {
                     dag_fp: 0x5eed,
                     window_fp: PlanKey::window_fingerprint(&fns, cap),
@@ -194,10 +194,10 @@ fn main() {
                 let mut cache = PlanCache::new();
                 cache.insert(
                     key,
-                    CachedPlan {
-                        result: astar_search_with(&table, gslo, 5, 0.5, &mut scratch),
-                        min_total_ms: table.min_total_time(),
-                    },
+                    CachedPlan::new(
+                        &astar_search_with(&table, gslo, 5, 0.5, &mut scratch),
+                        table.min_total_time(),
+                    ),
                 );
                 group.bench_with_input(BenchmarkId::new("warm", &param), &fns, |b, fns| {
                     b.iter(|| {

@@ -70,18 +70,18 @@ mod tests {
     use esg_model::{standard_catalog, ConfigGrid, FnId, PriceModel};
     use esg_profile::ProfileTable;
 
-    fn table(stages: &[FnId]) -> StageTable {
-        let p = ProfileTable::build(
+    fn profiles() -> ProfileTable {
+        ProfileTable::build(
             &standard_catalog(),
             &ConfigGrid::new(vec![1, 2], vec![1, 2], vec![1, 2]),
             &PriceModel::default(),
-        );
-        StageTable::build(stages, &p, 8)
+        )
     }
 
     #[test]
     fn expansion_count_is_tree_size() {
-        let t = table(&[FnId(0), FnId(1)]);
+        let p = profiles();
+        let t = StageTable::build(&[FnId(0), FnId(1)], &p, 8);
         let r = brute_force(&t, f64::INFINITY, 1);
         // 8 first-stage entries + 8*8 second-stage entries.
         assert_eq!(r.expansions, 8 + 64);
@@ -90,7 +90,8 @@ mod tests {
 
     #[test]
     fn returns_k_cheapest_sorted() {
-        let t = table(&[FnId(0), FnId(2)]);
+        let p = profiles();
+        let t = StageTable::build(&[FnId(0), FnId(2)], &p, 8);
         let r = brute_force(&t, f64::INFINITY, 4);
         assert_eq!(r.paths.len(), 4);
         for w in r.paths.windows(2) {
@@ -100,7 +101,8 @@ mod tests {
 
     #[test]
     fn respects_deadline() {
-        let t = table(&[FnId(4), FnId(5)]);
+        let p = profiles();
+        let t = StageTable::build(&[FnId(4), FnId(5)], &p, 8);
         let gslo = t.min_total_time() * 1.1;
         let r = brute_force(&t, gslo, 8);
         assert!(r.feasible);
@@ -111,7 +113,8 @@ mod tests {
 
     #[test]
     fn infeasible_falls_back() {
-        let t = table(&[FnId(4)]);
+        let p = profiles();
+        let t = StageTable::build(&[FnId(4)], &p, 8);
         let r = brute_force(&t, 1.0, 3);
         assert!(!r.feasible);
         assert_eq!(r.paths.len(), 1);

@@ -13,10 +13,11 @@
 //!   inner loop over a reusable [`SearchScratch`] arena), each returning
 //!   the configuration priority queue of the K cheapest SLO-feasible
 //!   paths;
-//! * [`cache`] — the [`PlanCache`]: memoised search results keyed on the
-//!   reduced-DAG fingerprint, the quantized effective GSLO, and the
-//!   node-class speed factor, bounded by cost-aware (GreedyDual)
-//!   eviction and churn-invalidated;
+//! * [`cache`] — the [`PlanCache`]: fixed-size summaries of memoised
+//!   searches ([`CachedPlan`]) keyed on the reduced-DAG fingerprint, the
+//!   quantized effective GSLO, and the node-class speed factor, held in
+//!   a slab bounded by cost-aware (GreedyDual) eviction and
+//!   churn-invalidated;
 //! * [`brute`] — exhaustive search, the §5.3 baseline and the oracle for
 //!   optimality tests;
 //! * [`plan`] — per-application dominator-based SLO distribution

@@ -180,10 +180,7 @@ impl EsgScheduler {
             }
             SearchVariant::StageWise => stagewise_search(&table, gslo_q, k),
         };
-        let plan = CachedPlan {
-            result,
-            min_total_ms: table.min_total_time(),
-        };
+        let plan = CachedPlan::new(&result, table.min_total_time());
         if let Some(cache) = &mut self.cache {
             cache.insert(key, plan.clone());
         }
@@ -302,7 +299,7 @@ impl Scheduler for EsgScheduler {
         // accounting is cache-oblivious).
         let max_batch = ctx.profiles.grid().max_batch();
         let mut planned = self.plan_window(ctx, dag_fp, &fns, max_batch, gslo_eff, speed, false);
-        let mut expansions = planned.result.expansions;
+        let mut expansions = planned.expansions;
 
         // Refine the class probe: the MIN-demand probe can land on a fast
         // node that lacks room for the *chosen* config's real demand, in
@@ -311,21 +308,18 @@ impl Scheduler for EsgScheduler {
         // config's demand; if the refined class is slower, re-run the
         // search once under the tighter budget (bounded: one extra pass,
         // only in the SLO-dangerous direction).
-        if planned.result.feasible {
-            let refined = speed_at(planned.result.paths[0].configs[0].resources());
+        if planned.feasible {
+            let refined = speed_at(planned.best_config().resources());
             if refined > speed + 1e-9 {
                 speed = refined;
                 gslo_eff = gslo / (p95 * speed);
                 let p2 = self.plan_window(ctx, dag_fp, &fns, max_batch, gslo_eff, speed, false);
-                expansions += p2.result.expansions;
+                expansions += p2.expansions;
                 planned = p2;
             }
         }
 
-        let min_total_ms = planned.min_total_ms;
-        let result = planned.result;
-
-        if !result.feasible {
+        if !planned.feasible {
             // No path fits the conservative (tail- and margin-adjusted)
             // budget. Two very different situations hide here:
             //
@@ -344,26 +338,16 @@ impl Scheduler for EsgScheduler {
                 .fastest_fit(Config::MIN.resources())
                 .map(|n| ctx.cluster.speed_of(n))
                 .unwrap_or(speed);
-            let winnable = min_total_ms * best_speed <= slack.max(0.0) * window_share;
+            let winnable = planned.min_total_ms * best_speed <= slack.max(0.0) * window_share;
             let candidates: Vec<Config> = if winnable {
-                result
-                    .first_stage_candidates()
-                    .into_iter()
-                    .map(|c| c.clamp_batch(qlen))
-                    .collect()
+                planned.candidates().map(|c| c.clamp_batch(qlen)).collect()
             } else {
                 let profile = ctx.profiles.profile(ctx.function);
                 profile
                     .entries_by_cost()
                     .find(|e| e.config.batch <= qlen)
                     .map(|e| vec![e.config])
-                    .unwrap_or_else(|| {
-                        result
-                            .first_stage_candidates()
-                            .into_iter()
-                            .map(|c| c.clamp_batch(qlen))
-                            .collect()
-                    })
+                    .unwrap_or_else(|| planned.candidates().map(|c| c.clamp_batch(qlen)).collect())
             };
             return Outcome {
                 candidates,
@@ -373,7 +357,7 @@ impl Scheduler for EsgScheduler {
             };
         }
 
-        let best_batch = result.paths[0].configs[0].batch;
+        let best_batch = planned.best_config().batch;
         if best_batch > qlen {
             // The cost-optimal batch needs more jobs than are queued. Try
             // batch targets in descending order: hold the queue for the
@@ -391,21 +375,19 @@ impl Scheduler for EsgScheduler {
                     .filter(|&b| b > qlen && b <= best_batch)
                     .collect();
                 batches.sort_unstable_by(|a, b| b.cmp(a));
-                let mut cached = Some(result);
+                let mut cached = Some(planned);
                 for b in batches {
                     let r = if b == best_batch {
                         cached.take().expect("first iteration only")
                     } else {
-                        let r = self
-                            .plan_window(ctx, dag_fp, &fns, b, gslo_eff, speed, true)
-                            .result;
+                        let r = self.plan_window(ctx, dag_fp, &fns, b, gslo_eff, speed, true);
                         expansions += r.expansions;
                         r
                     };
                     if !r.feasible {
                         continue;
                     }
-                    let actual = r.paths[0].configs[0].batch;
+                    let actual = r.best_config().batch;
                     if actual <= qlen {
                         // The cap pushed the optimum inside the queue.
                         return Outcome {
@@ -416,7 +398,7 @@ impl Scheduler for EsgScheduler {
                         };
                     }
                     let wait = (actual - qlen) as f64 * interval;
-                    if r.paths[0].time_ms * p95 * speed + wait <= gslo {
+                    if r.best_time_ms * p95 * speed + wait <= gslo {
                         self.waiting.insert(key, (ctx.now_ms + wait, actual));
                         return Outcome {
                             candidates: Vec::new(),
@@ -427,12 +409,10 @@ impl Scheduler for EsgScheduler {
                     }
                 }
             }
-            let capped_result = self
-                .plan_window(ctx, dag_fp, &fns, qlen, gslo_eff, speed, false)
-                .result;
-            expansions += capped_result.expansions;
+            let capped = self.plan_window(ctx, dag_fp, &fns, qlen, gslo_eff, speed, false);
+            expansions += capped.expansions;
             return Outcome {
-                candidates: capped_result.first_stage_candidates(),
+                candidates: capped.first_stage_candidates(),
                 expansions,
                 planned_batch: None,
                 ..Outcome::default()
@@ -440,11 +420,7 @@ impl Scheduler for EsgScheduler {
         }
 
         // Clamp cheaper K-th alternatives that still over-batch.
-        let candidates: Vec<Config> = result
-            .first_stage_candidates()
-            .into_iter()
-            .map(|c| c.clamp_batch(qlen))
-            .collect();
+        let candidates: Vec<Config> = planned.candidates().map(|c| c.clamp_batch(qlen)).collect();
         Outcome {
             candidates,
             expansions,

@@ -530,9 +530,9 @@ mod tests {
         let p = profiles(ConfigGrid::default());
         let stages = [FnId(0), FnId(1), FnId(3)];
         let table = StageTable::build(&stages, &p, 8);
-        let total = (table.entries(0).len() as u64)
-            * (table.entries(1).len() as u64)
-            * (table.entries(2).len() as u64);
+        let total = (table.entries(0).count() as u64)
+            * (table.entries(1).count() as u64)
+            * (table.entries(2).count() as u64);
         let gslo = table.min_total_time() * 1.3;
         let sw = stagewise_search(&table, gslo, 5);
         let astar = astar_search(&table, gslo, 5);

@@ -120,6 +120,7 @@ impl AfwQueue {
 
     /// Whether every view still describes the job at its position (same
     /// length, invocation, ready time and input node, in order).
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn views_mirror_jobs(&self) -> bool {
         self.jobs.len() == self.views.len()
             && self.jobs().iter().zip(self.views()).all(|(j, v)| {

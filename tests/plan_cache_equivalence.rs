@@ -100,6 +100,48 @@ fn tiny_cache_thrashes_but_stays_equivalent() {
     assert_eq!(canonical(a), canonical(b));
 }
 
+#[test]
+fn every_capacity_is_equivalent_to_no_cache() {
+    // From a one-entry memo that evicts on every miss up to the default
+    // bound that holds the whole working set: the bound moves the memo's
+    // counters, never the simulated outcome.
+    let workload = shaped_workload(
+        WorkloadClass::Normal,
+        TrafficShape::Bursty,
+        &esg::model::standard_app_ids(),
+        42,
+        4_000.0,
+    );
+    let env = SimEnv::standard(SloClass::Moderate);
+    let cfg = churny_config(42);
+    let mut off = EsgScheduler::new().without_plan_cache();
+    let uncached = canonical(run_simulation(
+        &env,
+        cfg.clone(),
+        &mut off,
+        &workload,
+        "cache-eq",
+    ));
+    let mut hits = Vec::new();
+    for capacity in [1, 2, 512, PlanCache::DEFAULT_CAPACITY] {
+        let mut sched = EsgScheduler::new().with_plan_cache_capacity(capacity);
+        let r = run_simulation(&env, cfg.clone(), &mut sched, &workload, "cache-eq");
+        let stats = r.scheduler_stats;
+        if capacity <= 2 {
+            assert!(
+                stats.plan_cache_evictions > 0,
+                "capacity {capacity}: {stats:?}"
+            );
+        }
+        hits.push(stats.plan_cache_hits);
+        assert_eq!(canonical(r), uncached, "capacity {capacity}");
+    }
+    assert!(
+        hits[0] < hits[3],
+        "the default bound must out-hit one entry: {hits:?}"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
