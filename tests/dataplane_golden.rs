@@ -30,8 +30,10 @@
 //! the plan memo moved from LRU to cost-aware (GreedyDual) eviction, only
 //! `result=` was re-blessed on the ToR cells whose memo evicts: the
 //! eviction counters and search count it hashes moved, while `trace=`,
-//! `masked=` and the clear-text counters stayed byte-identical.
-//! Regenerate with `ESG_BLESS=1 cargo test --test dataplane_golden` —
+//! `masked=` and the clear-text counters stayed byte-identical. When the
+//! memo's default bound went from 512 to 2048 entries, `result=` of the
+//! `tor-steady` and `tor-bursty` rows moved again for the same reason,
+//! and nothing else did. Regenerate with `ESG_BLESS=1 cargo test --test dataplane_golden` —
 //! only from a commit whose data-plane behaviour is the agreed baseline,
 //! noting the provenance here.
 
