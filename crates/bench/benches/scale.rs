@@ -1,7 +1,7 @@
 //! End-to-end streaming replay bench: the whole platform — streamed
 //! Azure-shaped arrivals pulled lazily from an `ArrivalStream`, the ESG
 //! scheduler, the round driver, arena-backed invocation/task state, and
-//! the selected event-queue backend — through ≥1M invocations per
+//! the event queue — through ≥1M invocations per
 //! full-mode sample (`ESG_SMOKE=1` replays a shorter trace window;
 //! medians are reported *per invocation*, so smoke and full runs stay
 //! label- and scale-comparable for the perf gate). Each replay also
@@ -17,7 +17,7 @@
 use esg_bench::{render_scale_markdown, section, update_experiments_md, write_json};
 use esg_core::EsgScheduler;
 use esg_model::SloClass;
-use esg_sim::{EventQueueKind, MemoryFootprint, SimConfig, SimEnv, Simulation};
+use esg_sim::{MemoryFootprint, SimConfig, SimEnv, Simulation};
 use esg_workload::AzureLikeTrace;
 use serde_json::json;
 use std::time::Instant;
@@ -36,22 +36,9 @@ const REPLAY_MINUTES_SMOKE: usize = 20;
 /// must stay under the same fixed bound as a smoke run.
 const REPLAY_MEMORY_CEILING: usize = 32_768;
 
-/// One replay case: a label and its event-queue backend.
-struct ReplayCase {
-    label: &'static str,
-    kind: EventQueueKind,
-}
-
-const REPLAY_CASES: [ReplayCase; 2] = [
-    ReplayCase {
-        label: "scale/replay/heap",
-        kind: EventQueueKind::Heap,
-    },
-    ReplayCase {
-        label: "scale/replay/wheel",
-        kind: EventQueueKind::Wheel,
-    },
-];
+/// The replay case's label; the perf gate pairs fresh and baseline
+/// rows by it.
+const REPLAY_CASE: &str = "scale/replay/heap";
 
 /// The Azure-shaped replay workload: diurnal cycle, rare 3× bursts,
 /// lognormal-ish dispersion, mean pinned below cluster capacity.
@@ -75,12 +62,11 @@ struct ReplaySample {
 }
 
 /// Streams `minutes` of the Azure trace through the full platform with
-/// the ESG scheduler on the given event-queue backend.
-fn run_replay(case: &ReplayCase, minutes: usize) -> ReplaySample {
+/// the ESG scheduler.
+fn run_replay(minutes: usize) -> ReplaySample {
     let env = SimEnv::standard(SloClass::Moderate);
     let cfg = SimConfig {
         seed: 42,
-        event_queue: case.kind,
         ..SimConfig::default()
     };
     let stream = replay_trace().stream(esg_model::standard_app_ids(), Some(minutes));
@@ -116,89 +102,73 @@ fn main() {
         REPLAY_MINUTES_FULL
     };
     println!("\nbench group: scale/replay ({replay_minutes} trace minutes per sample)");
-    let mut replay_cases: Vec<serde_json::Value> = Vec::new();
-    let mut replay_arrivals: Vec<u64> = Vec::new();
-    for case in &REPLAY_CASES {
-        let mut samples_ns: Vec<f64> = Vec::new();
-        let mut last: Option<ReplaySample> = None;
-        for _ in 0..replay_samples {
-            let s = run_replay(case, replay_minutes);
-            assert_eq!(
-                s.arrivals,
-                s.completed + s.shed,
-                "{}: replay stranded work",
-                case.label
-            );
-            if !smoke {
-                assert!(
-                    s.arrivals >= 1_000_000,
-                    "{}: full replay must cross one million invocations (got {})",
-                    case.label,
-                    s.arrivals
-                );
-            }
-            // The constant-memory promise: live state tracks the
-            // backlog, never the replay length.
-            let fp = s.footprint;
-            for (what, n) in [
-                ("invocation arena", fp.invocation_slots),
-                ("task arena", fp.task_slots),
-                ("event queue", fp.peak_pending_events),
-            ] {
-                assert!(
-                    n < REPLAY_MEMORY_CEILING,
-                    "{}: {what} grew past the replay memory ceiling ({n} >= {REPLAY_MEMORY_CEILING})",
-                    case.label
-                );
-            }
-            samples_ns.push(s.wall_ns as f64 / s.arrivals as f64);
-            last = Some(s);
-        }
-        let last = last.expect("at least one replay sample");
-        samples_ns.sort_by(f64::total_cmp);
-        let median_ns = samples_ns[samples_ns.len() / 2];
-        let mean_ns = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
-        let min_ns = samples_ns[0];
-        println!(
-            "  {:<28} {:>8.0} ns/invocation  {:>9.0} inv/s  ({} invocations, peak {} live)",
-            case.label,
-            median_ns,
-            1e9 / median_ns,
-            last.arrivals,
-            last.footprint.peak_live_invocations,
+    let mut samples_ns: Vec<f64> = Vec::new();
+    let mut last: Option<ReplaySample> = None;
+    for _ in 0..replay_samples {
+        let s = run_replay(replay_minutes);
+        assert_eq!(
+            s.arrivals,
+            s.completed + s.shed,
+            "{REPLAY_CASE}: replay stranded work"
         );
-        replay_arrivals.push(last.arrivals);
-        replay_cases.push(json!({
-            "case": (case.label),
-            "kind": "replay",
-            "event_queue": (format!("{:?}", case.kind).to_lowercase()),
-            "invocations": (last.arrivals),
-            "trace_minutes": replay_minutes,
-            "median_ns": median_ns,
-            "mean_ns": mean_ns,
-            "min_ns": min_ns,
-            "samples": replay_samples,
-            "invocations_per_sec": (1e9 / median_ns),
-            "peak_live_invocations": (last.footprint.peak_live_invocations),
-            "invocation_slots": (last.footprint.invocation_slots),
-            "task_slots": (last.footprint.task_slots),
-            "peak_pending_events": (last.footprint.peak_pending_events),
-            "completed": (last.completed),
-            "shed": (last.shed),
-        }));
+        if !smoke {
+            assert!(
+                s.arrivals >= 1_000_000,
+                "{REPLAY_CASE}: full replay must cross one million invocations (got {})",
+                s.arrivals
+            );
+        }
+        // The constant-memory promise: live state tracks the
+        // backlog, never the replay length.
+        let fp = s.footprint;
+        for (what, n) in [
+            ("invocation arena", fp.invocation_slots),
+            ("task arena", fp.task_slots),
+            ("event queue", fp.peak_pending_events),
+        ] {
+            assert!(
+                n < REPLAY_MEMORY_CEILING,
+                "{REPLAY_CASE}: {what} grew past the replay memory ceiling ({n} >= {REPLAY_MEMORY_CEILING})"
+            );
+        }
+        samples_ns.push(s.wall_ns as f64 / s.arrivals as f64);
+        last = Some(s);
     }
-    // Every backend replays the same stream: identical arrival counts
-    // are the cheap cross-check (full trace equivalence is pinned by
-    // tests/replay_equivalence.rs).
-    assert!(
-        replay_arrivals.windows(2).all(|w| w[0] == w[1]),
-        "replay cases diverged on arrival count: {replay_arrivals:?}"
+    let last = last.expect("at least one replay sample");
+    samples_ns.sort_by(f64::total_cmp);
+    let median_ns = samples_ns[samples_ns.len() / 2];
+    let mean_ns = samples_ns.iter().sum::<f64>() / samples_ns.len() as f64;
+    let min_ns = samples_ns[0];
+    println!(
+        "  {:<28} {:>8.0} ns/invocation  {:>9.0} inv/s  ({} invocations, peak {} live)",
+        REPLAY_CASE,
+        median_ns,
+        1e9 / median_ns,
+        last.arrivals,
+        last.footprint.peak_live_invocations,
     );
+    let case = json!({
+        "case": REPLAY_CASE,
+        "kind": "replay",
+        "invocations": (last.arrivals),
+        "trace_minutes": replay_minutes,
+        "median_ns": median_ns,
+        "mean_ns": mean_ns,
+        "min_ns": min_ns,
+        "samples": replay_samples,
+        "invocations_per_sec": (1e9 / median_ns),
+        "peak_live_invocations": (last.footprint.peak_live_invocations),
+        "invocation_slots": (last.footprint.invocation_slots),
+        "task_slots": (last.footprint.task_slots),
+        "peak_pending_events": (last.footprint.peak_pending_events),
+        "completed": (last.completed),
+        "shed": (last.shed),
+    });
 
     let doc = json!({
         "suite": "scale",
         "smoke": smoke,
-        "cases": (serde_json::Value::Array(replay_cases)),
+        "cases": [case],
     });
     write_json("BENCH_scale", &doc);
     if smoke {

@@ -371,9 +371,9 @@ pub fn render_scale_markdown(doc: &Value) -> String {
     let mut out = String::from(
         "Suite `scale` — end-to-end streaming replay (regenerate: `cargo bench \
 --bench scale`): Azure-shaped arrivals pulled lazily through the full \
-platform (ESG scheduler, round driver, arena state) on the selected \
-event-queue backend; medians are per invocation, and the arena/event-queue \
-high-water marks pin the constant-memory property.\n\n\
+platform (ESG scheduler, round driver, arena state, event queue); medians \
+are per invocation, and the arena/event-queue high-water marks pin the \
+constant-memory property.\n\n\
 | case | invocations | ns/invocation | invocations/sec | \
 peak live invocations | peak pending events |\n\
 |---|---:|---:|---:|---:|---:|\n",
@@ -715,7 +715,7 @@ mod tests {
         let doc = json!({
             "suite": "scale",
             "cases": [
-                {"case": "scale/replay/wheel", "kind": "replay", "event_queue": "wheel",
+                {"case": "scale/replay/heap", "kind": "replay",
                  "invocations": 1_048_576, "median_ns": 34_000.0,
                  "invocations_per_sec": 29_412.0, "peak_live_invocations": 642,
                  "invocation_slots": 642, "task_slots": 631, "peak_pending_events": 636}
@@ -724,7 +724,7 @@ mod tests {
         let md = render_scale_markdown(&doc);
         assert!(md.contains("end-to-end streaming replay"), "{md}");
         assert!(
-            md.contains("| scale/replay/wheel | 1048576 | 34000 | 29412 | 642 | 636 |"),
+            md.contains("| scale/replay/heap | 1048576 | 34000 | 29412 | 642 | 636 |"),
             "{md}"
         );
     }

@@ -31,7 +31,6 @@
 //! ```
 
 use crate::dataplane::DataPlaneConfig;
-use crate::event::EventQueueKind;
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, run_streamed, SimConfig, SimEnv};
 use crate::policy::{PackingConfig, PolicySpec, SloAdmissionConfig};
@@ -273,16 +272,6 @@ impl SimBuilder {
     /// Controller back-off when a scan found only skips, ms.
     pub fn idle_backoff_ms(mut self, ms: f64) -> Self {
         self.cfg.idle_backoff_ms = ms;
-        self
-    }
-
-    /// Event-queue backend: the default binary [`EventQueueKind::Heap`]
-    /// or the O(1) hierarchical timer [`EventQueueKind::Wheel`]. Both
-    /// produce bit-identical dispatch traces (pinned by the replay
-    /// equivalence battery); the wheel wins on deep pending-event
-    /// populations.
-    pub fn event_queue(mut self, kind: EventQueueKind) -> Self {
-        self.cfg.event_queue = kind;
         self
     }
 
@@ -804,26 +793,13 @@ mod tests {
     }
 
     #[test]
-    fn event_queue_knob_and_streamed_run_match_the_materialised_path() {
+    fn streamed_run_matches_the_materialised_path() {
         let canon = |mut r: ExperimentResult| {
             r.wall_overhead_ms.clear();
             format!("{r:?}")
         };
         let apps = esg_model::standard_app_ids();
         let gen = WorkloadGen::new(WorkloadClass::Normal, apps, 21);
-        let w = gen.generate(200);
-        let heap = SimBuilder::new(SloClass::Moderate)
-            .seed(21)
-            .build()
-            .expect("valid");
-        let wheel = SimBuilder::new(SloClass::Moderate)
-            .seed(21)
-            .event_queue(EventQueueKind::Wheel)
-            .build()
-            .expect("valid");
-        let r_heap = heap.run(&mut MinScheduler, &w, "eq");
-        let r_wheel = wheel.run(&mut MinScheduler, &w, "eq");
-        assert_eq!(canon(r_heap), canon(r_wheel));
         // Streamed vs materialised over a shared horizon: cap both runs at
         // `H` and materialise past `H` so both paths always hold a pending
         // arrival and stop at the first event beyond the cap — the traces

@@ -57,7 +57,6 @@ pub mod policy;
 pub mod sched;
 pub mod state;
 pub mod trace;
-pub mod wheel;
 pub mod workflow;
 
 pub use arena::Arena;
@@ -67,7 +66,7 @@ pub use dataplane::{
     BandwidthPool, DataPlane, DataPlaneConfig, DataPlaneView, NodeLoad, NodeTransferStats,
     TransferSummary,
 };
-pub use event::{Event, EventQueue, EventQueueKind};
+pub use event::{Event, EventQueue};
 pub use eventlog::{EventKind, EventLog, EventRecord, QueueCounters, TransferCounters};
 pub use health::{HealthSnapshot, Monitored, QueueHealth, QueueHealthMonitor};
 pub use metrics::{AppMetrics, ExperimentResult, NodeSummary};
@@ -90,5 +89,4 @@ pub use trace::{
     dispatch_trace, fnv64, TraceError, TraceFile, TraceRecorder, TraceReplay, Traced, TRACE_FORMAT,
     TRACE_VERSION, TRACE_VERSION_MINOR,
 };
-pub use wheel::TimerWheel;
 pub use workflow::{AfwQueue, Job, WorkflowInstance};

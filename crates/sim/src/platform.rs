@@ -27,7 +27,7 @@
 use crate::arena::Arena;
 use crate::cluster::Cluster;
 use crate::dataplane::{Admission, DataPlane, DataPlaneConfig, TransferReq};
-use crate::event::{Event, EventQueue, EventQueueKind};
+use crate::event::{Event, EventQueue};
 use crate::metrics::{AppMetrics, ExperimentResult, NodeSummary};
 use crate::policy::ShedReason;
 use crate::sched::{
@@ -159,11 +159,6 @@ pub struct SimConfig {
     /// snapshot of the cluster (the pre-redesign per-decision rebuild).
     /// Costs a full rebuild per refresh — test runs only.
     pub validate_cluster_state: bool,
-    /// Event-queue backend. The heap is the classic default; the timer
-    /// wheel is O(1) amortised and built for million-event replays. Both
-    /// produce bit-identical runs (pinned by
-    /// `tests/replay_equivalence.rs`).
-    pub event_queue: EventQueueKind,
     /// When set, the run records its full control-plane event stream
     /// (plus environment header and arrivals) to this path at the end of
     /// the run, replayable via [`TraceReplay`](crate::TraceReplay).
@@ -208,7 +203,6 @@ impl Default for SimConfig {
             idle_backoff_ms: 1.0,
             max_sim_ms: 0.0,
             validate_cluster_state: false,
-            event_queue: EventQueueKind::Heap,
             record_trace: None,
             data_plane: None,
             pinning: None,
@@ -342,6 +336,10 @@ pub struct Simulation<'a> {
     last_node: Vec<Option<NodeId>>,
     /// Reused eligible-queue index buffer for the round driver.
     eligible: Vec<usize>,
+    /// `eligible_stamp[qi] == eligible_seq` marks a queue presented in
+    /// the current round: O(1) membership of `eligible`.
+    eligible_stamp: Vec<u64>,
+    eligible_seq: u64,
     /// `decided_stamp[qi] == round_seq` marks a queue already decided in
     /// the current controller step (each queue is decided at most once
     /// per step, as in the classic single-pass scan).
@@ -441,7 +439,6 @@ impl<'a> Simulation<'a> {
         let initial_nodes = cluster.len();
         let prewarm_alpha = cfg.prewarm_alpha;
         let seed = cfg.seed;
-        let event_queue = cfg.event_queue;
         let recorder = cfg
             .record_trace
             .clone()
@@ -459,7 +456,7 @@ impl<'a> Simulation<'a> {
             pending_arrival: None,
             next_arrival_idx: 0,
             now: SimTime::ZERO,
-            events: EventQueue::with_kind(event_queue),
+            events: EventQueue::new(),
             cluster,
             state,
             queues: vec![AfwQueue::new(); nq],
@@ -479,6 +476,8 @@ impl<'a> Simulation<'a> {
             parked: vec![0; nq],
             waiting_exec: vec![std::collections::VecDeque::new(); initial_nodes],
             eligible: Vec::new(),
+            eligible_stamp: vec![0; nq],
+            eligible_seq: 0,
             decided_stamp: vec![0; nq],
             round_seq: 0,
             noise: env.noise.clone(),
@@ -780,6 +779,7 @@ impl<'a> Simulation<'a> {
         loop {
             self.refresh_state();
             self.eligible.clear();
+            self.eligible_seq += 1;
             for qi in 0..nq {
                 if self.decided_stamp[qi] == self.round_seq
                     || self.queues[qi].is_empty()
@@ -789,6 +789,7 @@ impl<'a> Simulation<'a> {
                     continue;
                 }
                 self.eligible.push(qi);
+                self.eligible_stamp[qi] = self.eligible_seq;
             }
             if self.eligible.is_empty() {
                 return;
@@ -835,7 +836,9 @@ impl<'a> Simulation<'a> {
                     continue; // unknown queue: ignore
                 };
                 // Only queues presented this round are decidable, once.
-                if self.decided_stamp[qi] == self.round_seq || !self.eligible.contains(&qi) {
+                if self.decided_stamp[qi] == self.round_seq
+                    || self.eligible_stamp[qi] != self.eligible_seq
+                {
                     continue;
                 }
                 self.decided_stamp[qi] = self.round_seq;

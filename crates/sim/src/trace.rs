@@ -16,8 +16,7 @@
 //!   supported-version trace (truncated file, corrupt JSON, unknown
 //!   version, schema drift).
 //! * [`TraceReplay`] — re-drives a scheduler against the recorded
-//!   arrivals and churn under the recorded configuration (optionally
-//!   overriding the event-queue backend), producing an
+//!   arrivals and churn under the recorded configuration, producing an
 //!   [`ExperimentResult`] and a dispatch-trace digest comparable with
 //!   the recorded stream's own [`TraceFile::dispatch_digest`].
 //!
@@ -45,7 +44,6 @@
 //! std::fs::remove_file(&path).ok();
 //! ```
 
-use crate::event::EventQueueKind;
 use crate::eventlog::{EventKind, EventLog, EventRecord};
 use crate::metrics::ExperimentResult;
 use crate::platform::{run_simulation, SimConfig, SimEnv};
@@ -80,8 +78,12 @@ pub const TRACE_VERSION: u32 = 1;
 /// event tag. Older headers still load when those keys hold the
 /// single-driver values (`1` and `false`); any other value is a
 /// [`TraceError::Schema`], since today's one round driver would not
-/// replay that run.
-pub const TRACE_VERSION_MINOR: u32 = 3;
+/// replay that run. Minor 4 removed the timer-wheel event queue: the
+/// writer drops the `event_queue` header key. An older header naming
+/// `"heap"` or `"wheel"` loads onto the one (heap) queue, since the two
+/// backends replayed every run bit for bit; any other value is a
+/// [`TraceError::Schema`].
+pub const TRACE_VERSION_MINOR: u32 = 4;
 
 /// A typed failure while writing or loading a trace. Corrupt or
 /// truncated files surface here — never as a panic.
@@ -504,11 +506,10 @@ impl TraceFile {
 }
 
 /// Re-drives schedulers against a recorded run: same arrivals, same
-/// churn, same platform configuration (unless overridden), any policy.
+/// churn, same platform configuration, any policy.
 #[derive(Clone, Debug)]
 pub struct TraceReplay {
     trace: TraceFile,
-    event_queue: Option<EventQueueKind>,
 }
 
 impl TraceReplay {
@@ -519,10 +520,7 @@ impl TraceReplay {
 
     /// Wraps an already-loaded trace.
     pub fn new(trace: TraceFile) -> TraceReplay {
-        TraceReplay {
-            trace,
-            event_queue: None,
-        }
+        TraceReplay { trace }
     }
 
     /// The underlying trace document.
@@ -530,20 +528,11 @@ impl TraceReplay {
         &self.trace
     }
 
-    /// Overrides the event-queue backend for replays.
-    pub fn event_queue(mut self, kind: EventQueueKind) -> TraceReplay {
-        self.event_queue = Some(kind);
-        self
-    }
-
     /// The effective replay configuration: the recorded one with
-    /// `record_trace` cleared and any overrides applied.
+    /// `record_trace` cleared.
     pub fn config(&self) -> SimConfig {
         let mut cfg = self.trace.config.clone();
         cfg.record_trace = None;
-        if let Some(k) = self.event_queue {
-            cfg.event_queue = k;
-        }
         cfg
     }
 
@@ -685,14 +674,6 @@ fn flavor_from_str(s: &str) -> Result<GpuFlavor, TraceError> {
         "v100" => Ok(GpuFlavor::V100),
         "t4" => Ok(GpuFlavor::T4),
         other => Err(schema(&format!("unknown GPU flavor {other:?}"))),
-    }
-}
-
-fn queue_kind_from_str(s: &str) -> Result<EventQueueKind, TraceError> {
-    match s {
-        "heap" => Ok(EventQueueKind::Heap),
-        "wheel" => Ok(EventQueueKind::Wheel),
-        other => Err(schema(&format!("unknown event-queue backend {other:?}"))),
     }
 }
 
@@ -879,13 +860,6 @@ fn config_to_json(cfg: &SimConfig) -> Value {
     m.insert("max_sim_ms", cfg.max_sim_ms);
     m.insert("validate_cluster_state", cfg.validate_cluster_state);
     m.insert(
-        "event_queue",
-        match cfg.event_queue {
-            EventQueueKind::Heap => "heap",
-            EventQueueKind::Wheel => "wheel",
-        },
-    );
-    m.insert(
         "data_plane",
         match &cfg.data_plane {
             None => Value::Null,
@@ -955,6 +929,14 @@ fn config_from_json(doc: &Value) -> Result<SimConfig, TraceError> {
 only the single-driver values (1, false) replay",
         ));
     }
+    // v1.0–1.3 headers name their event-queue backend. Heap and wheel
+    // replayed every run bit for bit, so both load onto the heap.
+    if let Some(v) = doc.get("event_queue") {
+        match v.as_str() {
+            Some("heap" | "wheel") => {}
+            _ => return Err(schema(&format!("unknown event-queue backend {v}"))),
+        }
+    }
     Ok(SimConfig {
         nodes: usize_field(doc, "nodes")?,
         node_resources: Resources::new(
@@ -979,7 +961,6 @@ only the single-driver values (1, false) replay",
         idle_backoff_ms: f64_field(doc, "idle_backoff_ms")?,
         max_sim_ms: f64_field(doc, "max_sim_ms")?,
         validate_cluster_state: bool_field(doc, "validate_cluster_state")?,
-        event_queue: queue_kind_from_str(str_field(doc, "event_queue")?)?,
         // Arrived in v1.1; absent (v1.0 documents) means the classic
         // scalar transfer model.
         data_plane: match doc.get("data_plane") {
@@ -1262,7 +1243,6 @@ mod tests {
                 .drain(1_000.0, NodeId(3))
                 .join(2_000.0, NodeClass::t4()),
             seed: u64::MAX,
-            event_queue: EventQueueKind::Wheel,
             warmup_exclude_ms: 123.5,
             data_plane: Some(crate::dataplane::DataPlaneConfig {
                 bandwidth_scale: 0.5,
@@ -1348,6 +1328,81 @@ mod tests {
                 assert!(context.contains("unknown event tag"), "{context}")
             }
             other => panic!("expected an unknown-tag error, got {other:?}"),
+        }
+    }
+
+    /// Re-labels a written trace as minor `minor` whose config header
+    /// names `queue` as its event-queue backend.
+    fn with_queue_header(text: &str, minor: u32, queue: Value) -> String {
+        let doc = serde_json::from_str(text).expect("own encoding parses");
+        let mut out = Map::new();
+        for (k, v) in doc.as_object().expect("trace is an object").iter() {
+            match k {
+                "version_minor" => out.insert(k, minor),
+                "config" => {
+                    let mut cfg = Map::new();
+                    for (ck, cv) in v.as_object().expect("config is an object").iter() {
+                        cfg.insert(ck, cv.clone());
+                    }
+                    cfg.insert("event_queue", queue.clone());
+                    out.insert(k, cfg);
+                }
+                _ => out.insert(k, v.clone()),
+            }
+        }
+        serde_json::to_string(&Value::Object(out))
+    }
+
+    #[test]
+    fn minor_3_event_queue_headers_replay_on_the_heap() {
+        let path =
+            std::env::temp_dir().join(format!("esg-trace-queue-{}.json", std::process::id()));
+        let sim = crate::SimBuilder::new(SloClass::Moderate)
+            .seed(5)
+            .record_trace(&path)
+            .build()
+            .expect("valid configuration");
+        let w = esg_workload::WorkloadGen::new(
+            esg_model::WorkloadClass::Normal,
+            esg_model::standard_app_ids(),
+            5,
+        )
+        .generate(150);
+        sim.run(&mut crate::MinScheduler, &w, "record");
+        let text = std::fs::read_to_string(&path).expect("trace written");
+        std::fs::remove_file(&path).ok();
+        assert!(
+            !text.contains("event_queue"),
+            "the minor-4 writer drops the key"
+        );
+        let recorded = TraceFile::from_json(&text)
+            .expect("loads")
+            .dispatch_digest();
+
+        let replay = |queue: &str| {
+            let doc = with_queue_header(&text, 3, queue.into());
+            let trace = TraceFile::from_json(&doc).expect("minor-3 header loads");
+            assert_eq!(trace.version_minor, 3);
+            TraceReplay::new(trace).run_digest(Box::new(crate::MinScheduler), "replay")
+        };
+        let (heap, heap_digest) = replay("heap");
+        let (wheel, wheel_digest) = replay("wheel");
+        assert_eq!(heap_digest, recorded);
+        assert_eq!(wheel_digest, heap_digest);
+        assert_eq!(
+            format!("{:?}", wheel.transfers),
+            format!("{:?}", heap.transfers)
+        );
+        assert_eq!(wheel.arrivals, heap.arrivals);
+
+        // Any other backend name, or a non-string, is a typed error.
+        for bad in [Value::from("timer"), Value::from(1u64), Value::Null] {
+            match TraceFile::from_json(&with_queue_header(&text, 3, bad.clone())) {
+                Err(TraceError::Schema { context }) => {
+                    assert!(context.contains("event-queue backend"), "{context}")
+                }
+                other => panic!("{bad}: expected a schema error, got {other:?}"),
+            }
         }
     }
 

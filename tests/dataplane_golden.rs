@@ -2,8 +2,7 @@
 //! transfers really contend, across commits.
 //!
 //! `tests/dataplane_equivalence.rs` proves the infinite-bandwidth plane
-//! matches the scalar model and that heap and wheel agree under
-//! contention, but neither pins what a contended run produces. This
+//! matches the scalar model, but not what a contended run produces. This
 //! suite does: for every cell it stores an FNV fingerprint of the
 //! dispatch trace and of the canonical `ExperimentResult` (wall-clock
 //! overhead cleared; the `TransferSummary` with its replan, queueing and
@@ -13,7 +12,7 @@
 //! plus the plane's headline counters in clear text so a divergence
 //! reads at a glance.
 //!
-//! Cells, each on both event-queue backends:
+//! Cells:
 //! * `tor-steady` / `tor-bursty` — the paper cluster behind 4-GPU
 //!   servers with narrow 0.05 MB/ms ToR uplinks (the benchmark's
 //!   `tor-contended` cell, shortened), the replan-storm regime;
@@ -33,7 +32,10 @@
 //! `masked=` and the clear-text counters stayed byte-identical. When the
 //! memo's default bound went from 512 to 2048 entries, `result=` of the
 //! `tor-steady` and `tor-bursty` rows moved again for the same reason,
-//! and nothing else did. Regenerate with `ESG_BLESS=1 cargo test --test dataplane_golden` —
+//! and nothing else did. Each cell once had a second row on the timer
+//! wheel, a byte-copy of its heap row; those rows went with the wheel,
+//! and the second column still reads `Heap` so the remaining rows are
+//! byte-identical to their blessed form. Regenerate with `ESG_BLESS=1 cargo test --test dataplane_golden` —
 //! only from a commit whose data-plane behaviour is the agreed baseline,
 //! noting the provenance here.
 
@@ -135,7 +137,7 @@ fn canonical_masked(mut r: ExperimentResult) -> String {
     canonical(r)
 }
 
-fn run_cell(cell: &Cell, queue: EventQueueKind) -> String {
+fn run_cell(cell: &Cell) -> String {
     let env = SimEnv::standard(SloClass::Moderate);
     let workload = shaped_workload(
         WorkloadClass::Normal,
@@ -149,7 +151,6 @@ fn run_cell(cell: &Cell, queue: EventQueueKind) -> String {
         churn: cell.churn.clone(),
         warmup_exclude_ms: cell.run_ms * 0.25,
         seed: 42,
-        event_queue: queue,
         data_plane: Some(cell.plane),
         ..SimConfig::default()
     };
@@ -157,7 +158,7 @@ fn run_cell(cell: &Cell, queue: EventQueueKind) -> String {
     let r = run_simulation(&env, cfg, &mut sched, &workload, "dataplane-golden");
     let t = &r.transfers;
     format!(
-        "{}|{queue:?}|trace={:016x}|result={:016x}|masked={:016x}|completed={}|\
+        "{}|Heap|trace={:016x}|result={:016x}|masked={:016x}|completed={}|\
 transfers={}|replans={}|queued={}|cross_server_mb={}",
         cell.name,
         fnv64(&sched.trace()),
@@ -180,10 +181,8 @@ fn golden_path() -> std::path::PathBuf {
 fn contended_cells_match_golden_digest() {
     let mut digest = String::new();
     for cell in &cells() {
-        for queue in [EventQueueKind::Heap, EventQueueKind::Wheel] {
-            digest.push_str(&run_cell(cell, queue));
-            digest.push('\n');
-        }
+        digest.push_str(&run_cell(cell));
+        digest.push('\n');
     }
     let path = golden_path();
     if std::env::var("ESG_BLESS").is_ok_and(|v| !v.is_empty() && v != "0") {
